@@ -50,11 +50,13 @@ def test_space_flat_decode_throughput(benchmark):
     assert out.shape == (262144, 6)
 
 
-def test_forest_fit(benchmark):
-    """RF tuner's stage-1 fit at the largest paper budget (S-10 = 390)."""
+@pytest.mark.parametrize("n", [15, 40, 90, 190, 390])
+def test_forest_fit(benchmark, n):
+    """RF tuner's stage-1 fit at each paper budget (n = S-10), which
+    traces fit time as a function of the training size."""
     rng = np.random.default_rng(0)
-    X = rng.integers(1, 17, (390, 6)).astype(float)
-    y = rng.lognormal(0, 1, 390)
+    X = rng.integers(1, 17, (n, 6)).astype(float)
+    y = rng.lognormal(0, 1, n)
 
     def fit():
         return RandomForestRegressor(

@@ -54,24 +54,21 @@ class ParameterImportance:
 
 def _impurity_importance(forest: RandomForestRegressor, d: int) -> np.ndarray:
     """Split-gain attribution summed over all trees."""
-    gains = np.zeros(d)
+    features, gains = [], []
     for tree in forest.trees:
         nodes = tree._nodes
-        for node in nodes:
-            if node.feature < 0:
-                continue
-            left, right = nodes[node.left], nodes[node.right]
-            # Parent SSE minus children SSE approximated via the variance
-            # decomposition weighted by sample counts.
-            n = node.n_samples
-            nl, nr = left.n_samples, right.n_samples
-            if n == 0:
-                continue
-            between = (
-                nl * (left.value - node.value) ** 2
-                + nr * (right.value - node.value) ** 2
-            )
-            gains[node.feature] += between
+        split = np.flatnonzero(nodes.feature >= 0)
+        left, right = nodes.left[split], nodes.right[split]
+        parent = nodes.value[split]
+        # Parent SSE minus children SSE approximated via the variance
+        # decomposition weighted by sample counts.
+        features.append(nodes.feature[split])
+        gains.append(
+            nodes.n_samples[left] * (nodes.value[left] - parent) ** 2
+            + nodes.n_samples[right] * (nodes.value[right] - parent) ** 2
+        )
+    gains = np.bincount(np.concatenate(features),
+                        weights=np.concatenate(gains), minlength=d)
     total = gains.sum()
     return gains / total if total > 0 else np.full(d, 1.0 / d)
 

@@ -26,6 +26,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             RandomForestRegressor().fit(np.arange(5.0), np.arange(5.0))
 
+    @pytest.mark.parametrize("y, kwargs", [
+        (np.array([1.0, np.nan, 2.0, 3.0]), {}),
+        (np.array([1.0, 2.0, np.inf, 3.0]), {}),
+        (np.ones(3), {}),
+        (np.ones(4), {"max_features": 5}),
+        (np.ones(4), {"min_samples_leaf": 0}),
+    ])
+    def test_rejected_fit_leaves_generator_untouched(self, y, kwargs):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        forest = RandomForestRegressor(n_estimators=3, rng=rng, **kwargs)
+        with pytest.raises(ValueError):
+            forest.fit(np.arange(8.0).reshape(4, 2), y)
+        assert rng.bit_generator.state == before
+        assert not forest.is_fitted
+
+    def test_oob_indices_are_the_rows_each_bootstrap_missed(self):
+        X, y = smooth_data(60)
+        f = RandomForestRegressor(
+            n_estimators=4, rng=np.random.default_rng(2)
+        ).fit(X, y)
+        draws = np.random.default_rng(2)
+        sums, counts = np.zeros(60), np.zeros(60)
+        for tree in f.trees:
+            oob = np.setdiff1d(np.arange(60), draws.integers(0, 60, 60))
+            sums[oob] += tree.predict(X[oob])
+            counts[oob] += 1
+        seen = counts > 0
+        pred = sums[seen] / counts[seen]
+        r2 = 1 - ((y[seen] - pred) ** 2).sum() / (
+            (y[seen] - y[seen].mean()) ** 2).sum()
+        assert f.oob_score() == r2
+
     def test_oob_requires_bootstrap(self):
         X, y = smooth_data(50)
         f = RandomForestRegressor(

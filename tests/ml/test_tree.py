@@ -61,9 +61,9 @@ class TestLearning:
     def test_split_at_true_boundary(self):
         X, y = step_data()
         t = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        root = t._nodes[0]
-        assert root.feature == 0
-        assert 4.0 < root.threshold < 6.0
+        nodes = t._nodes
+        assert nodes.feature[0] == 0
+        assert 4.0 < nodes.threshold[0] < 6.0
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).uniform(0, 1, (50, 3))
@@ -83,10 +83,8 @@ class TestLearning:
         X = rng.uniform(0, 1, (300, 4))
         y = rng.standard_normal(300)
         t = DecisionTreeRegressor(min_samples_leaf=25).fit(X, y)
-        leaf_sizes = [
-            n.n_samples for n in t._nodes if n.feature == -1
-        ]
-        assert min(leaf_sizes) >= 25
+        leaf_sizes = t._nodes.n_samples[t._nodes.feature == -1]
+        assert leaf_sizes.min() >= 25
 
     def test_unbounded_tree_interpolates_unique_points(self):
         rng = np.random.default_rng(1)
@@ -100,7 +98,7 @@ class TestLearning:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         t = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        assert t._nodes[0].threshold == pytest.approx(2.5)
+        assert t._nodes.threshold[0] == pytest.approx(2.5)
 
     def test_duplicate_feature_values_handled(self):
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
