@@ -12,7 +12,7 @@ bootstrap on.  Out-of-bag scoring is provided for diagnostics.
 
 Performance: all trees grow together, level by level, in one
 :func:`~repro.ml.tree.grow_trees` call (see :mod:`repro.ml.tree`), so a
-fit costs a few dozen NumPy calls per tree *depth* rather than per node.
+fit costs a few dozen NumPy calls per tree *depth*, not per node.
 """
 
 from __future__ import annotations
