@@ -17,11 +17,8 @@ from repro.gpu import TITAN_V, simulate_runtimes
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.landscape import clear_landscape_memo, load_or_compute_landscape
 from repro.kernels import get_kernel
-from repro.ml import (
-    AdaptiveParzenEstimator1D,
-    GaussianProcessRegressor,
-    RandomForestRegressor,
-)
+from repro.ml import GaussianProcessRegressor, RandomForestRegressor
+from repro.search.bo_tpe import BayesianTpeTuner
 from repro.searchspace import paper_search_space
 from repro.stats import cles_smaller, mann_whitney_u
 
@@ -82,20 +79,44 @@ def test_gp_fit_with_hyperopt(benchmark):
     assert gp.predict(X[:4]).shape == (4,)
 
 
-def test_tpe_density_fit_and_score(benchmark):
-    """One TPE per-dimension density fit + 24-candidate scoring round."""
+@pytest.mark.parametrize("n", [20, 40, 90, 190, 390])
+def test_tpe_suggest_round(benchmark, n):
+    """One BO-TPE suggestion (l/g fits over all six dimensions, 24
+    candidate draws, scoring) at each paper budget's largest history."""
     rng = np.random.default_rng(0)
-    good = rng.integers(0, 16, 10)
-    bad = rng.integers(0, 16, 30)
+    observations = rng.integers(0, SPACE.cardinalities(), (n, 6))
+    losses = rng.normal(size=n)
+    tuner = BayesianTpeTuner()
 
-    def round_trip():
-        l_est = AdaptiveParzenEstimator1D(0, 15).fit(good)
-        g_est = AdaptiveParzenEstimator1D(0, 15).fit(bad)
-        draws = l_est.sample(np.random.default_rng(1), 24)
-        return l_est.log_prob(draws) - g_est.log_prob(draws)
+    def suggest():
+        return tuner._suggest(
+            SPACE, observations, losses, np.random.default_rng(1)
+        )
 
-    scores = benchmark(round_trip)
-    assert scores.shape == (24,)
+    suggestion = benchmark(suggest)
+    assert suggestion.shape == (6,)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 4096], ids=["ga-immigrant", "rf-pool"]
+)
+def test_space_sample(benchmark, n):
+    """Constrained uniform draws: one configuration (a GA immigrant) and
+    an RF-sized candidate pool."""
+    configs = benchmark(
+        lambda: SPACE.sample(np.random.default_rng(1), n, feasible_only=True)
+    )
+    assert len(configs) == n
+
+
+def test_space_sample_indices_pool(benchmark):
+    """The RF tuner's 4,096-row candidate pool as an index matrix."""
+    indices = benchmark(
+        lambda: SPACE.sample_indices(
+            np.random.default_rng(1), 4096, feasible_only=True
+        )
+    )
+    assert indices.shape == (4096, 6)
 
 
 def test_mwu_at_paper_population_size(benchmark):

@@ -63,13 +63,13 @@ class GeneticAlgorithmTuner(SequentialTuner):
         self.respect_constraints = respect_constraints
 
     # -- GA operators ---------------------------------------------------------
-    def _random_individual(
-        self, objective: Objective, rng: np.random.Generator
-    ) -> Tuple[int, ...]:
-        cfg = objective.space.sample(
-            rng, 1, feasible_only=self.respect_constraints
-        )[0]
-        return tuple(int(v) for v in objective.space.config_to_indices(cfg))
+    def _random_individuals(
+        self, objective: Objective, rng: np.random.Generator, n: int
+    ) -> List[Tuple[int, ...]]:
+        rows = objective.space.sample_indices(
+            rng, n, feasible_only=self.respect_constraints
+        )
+        return [tuple(row) for row in rows.tolist()]
 
     def _uniform_crossover(
         self,
@@ -145,10 +145,9 @@ class GeneticAlgorithmTuner(SequentialTuner):
                 cache.update(zip(pending, runtimes))
             return [(genes, cache[genes]) for genes in population]
 
-        population = [
-            self._random_individual(objective, rng)
-            for _ in range(min(self.pop_size, objective.budget))
-        ]
+        population = self._random_individuals(
+            objective, rng, min(self.pop_size, objective.budget)
+        )
         try:
             while True:
                 before = objective.evaluations
@@ -169,7 +168,9 @@ class GeneticAlgorithmTuner(SequentialTuner):
                     # Fully converged generation (every individual cached):
                     # inject a random immigrant so remaining budget is
                     # spent exploring rather than spinning.
-                    population[-1] = self._random_individual(objective, rng)
+                    population[-1] = self._random_individuals(
+                        objective, rng, 1
+                    )[0]
                 if objective.remaining <= 0:
                     break
         except BudgetExhausted:

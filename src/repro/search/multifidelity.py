@@ -31,6 +31,7 @@ import numpy as np
 from ..ml import AdaptiveParzenEstimator1D
 from ..searchspace import SearchSpace
 from .base import BudgetExhausted, Tuner, TuningResult
+from .bo_tpe import best_candidate
 
 __all__ = ["MultiFidelityObjective", "HyperbandTuner", "BohbTuner"]
 
@@ -201,11 +202,11 @@ class HyperbandTuner(Tuner):
 class BohbTuner(HyperbandTuner):
     """BOHB (Falkner et al. 2018): HyperBand with TPE-guided proposals.
 
-    Instead of sampling bracket candidates uniformly, BOHB fits per-
-    dimension adaptive Parzen estimators to the observations at the
-    highest fidelity that has at least ``min_points`` of them, and draws
-    candidates from the good-density ``l(x)``, ranked by ``l/g`` — the
-    same machinery as :class:`~repro.search.bo_tpe.BayesianTpeTuner`.
+    Instead of sampling bracket candidates uniformly, BOHB fits adaptive
+    Parzen estimators (one 1-D mixture per dimension) to the observations
+    at the highest fidelity that has at least ``min_points`` of them, and
+    draws candidates from the good-density ``l(x)``, ranked by ``l/g`` —
+    the same machinery as :class:`~repro.search.bo_tpe.BayesianTpeTuner`.
     """
 
     name = "bohb"
@@ -266,23 +267,13 @@ class BohbTuner(HyperbandTuner):
         order = np.argsort(losses, kind="stable")
         good, bad = obs[order[:n_good]], obs[order[n_good:]]
 
-        out: List[Configuration] = []
-        for _ in range(n):
-            draws = np.empty(
-                (self.n_ei_candidates, space.dimensions), dtype=np.int64
-            )
-            score = np.zeros(self.n_ei_candidates)
-            for d, param in enumerate(space.parameters):
-                l_est = AdaptiveParzenEstimator1D(
-                    0, param.cardinality - 1
-                ).fit(good[:, d])
-                g_est = AdaptiveParzenEstimator1D(
-                    0, param.cardinality - 1
-                ).fit(bad[:, d])
-                col = l_est.sample(rng, self.n_ei_candidates)
-                score += l_est.log_prob(col) - g_est.log_prob(col)
-                draws[:, d] = col
-            out.append(
-                space.indices_to_config(draws[int(np.argmax(score))].tolist())
-            )
-        return out
+        # Fitting draws no random numbers, so one l/g fit serves every
+        # proposal of this call.
+        high = space.cardinalities() - 1
+        l_est = AdaptiveParzenEstimator1D(np.zeros_like(high), high).fit(good)
+        g_est = AdaptiveParzenEstimator1D(np.zeros_like(high), high).fit(bad)
+        proposals = [
+            best_candidate(l_est, g_est, rng, self.n_ei_candidates)
+            for _ in range(n)
+        ]
+        return space.index_matrix_to_configs(np.array(proposals))

@@ -285,10 +285,14 @@ class SearchSpace:
         rows every vectorized constraint already accepted.
         """
         flats = np.asarray(flats, dtype=np.int64)
-        mask = np.ones(flats.size, dtype=bool)
         if len(self._constraints) == 0 or flats.size == 0:
-            return mask
-        indices = self.flats_to_index_matrix(flats)
+            return np.ones(flats.size, dtype=bool)
+        return self._index_matrix_feasible(self.flats_to_index_matrix(flats))
+
+    def _index_matrix_feasible(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`feasible_mask` for the rows of an ``(n, d)`` index
+        matrix."""
+        mask = np.ones(indices.shape[0], dtype=bool)
         col_of = {p.name: c for c, p in enumerate(self._parameters)}
         column_cache: dict = {}
 
@@ -342,21 +346,48 @@ class SearchSpace:
         sampling used for non-SMBO methods).  Sampling *with replacement*:
         duplicates are possible, as in real measurement campaigns.
         """
-        out: List[Configuration] = []
+        return self.index_matrix_to_configs(
+            self.sample_indices(rng, n, feasible_only, max_rejections)
+        )
+
+    def sample_indices(
+        self,
+        rng: np.random.Generator,
+        n: int = 1,
+        feasible_only: bool = False,
+        max_rejections: int = 10_000,
+    ) -> np.ndarray:
+        """:meth:`sample` as an ``(n, d)`` ordinal index matrix.
+
+        Draws ``rng.integers(0, cardinalities)`` rows in chunks of the
+        still-missing count and, with ``feasible_only=True``, drops the
+        infeasible rows of each chunk.  A row consumes the generator
+        exactly as one configuration drawn parameter by parameter does,
+        and no chunk outruns the rows still needed, so the stream, the
+        rows and the generator state afterwards match drawing and
+        rejecting one configuration at a time.  More than
+        ``max_rejections`` rejected rows in total raise ``RuntimeError``.
+        """
+        constrained = feasible_only and len(self._constraints) > 0
+        chunks = [np.empty((0, self.dimensions), dtype=np.int64)]
+        need = n
         rejections = 0
-        while len(out) < n:
-            cfg = {p.name: p.sample(rng) for p in self._parameters}
-            if feasible_only and not self.is_feasible(cfg):
-                rejections += 1
+        while need > 0:
+            chunk = rng.integers(
+                0, self._cardinalities, size=(need, self.dimensions)
+            )
+            if constrained:
+                chunk = chunk[self._index_matrix_feasible(chunk)]
+                rejections += need - chunk.shape[0]
                 if rejections > max_rejections:
                     raise RuntimeError(
                         f"exceeded {max_rejections} rejections while sampling "
                         f"feasible configurations; constraints may be "
                         f"unsatisfiable: {self._constraints.describe()}"
                     )
-                continue
-            out.append(cfg)
-        return out
+            chunks.append(chunk)
+            need -= chunk.shape[0]
+        return np.concatenate(chunks)
 
     def sample_flat(
         self, rng: np.random.Generator, n: int, feasible_only: bool = False

@@ -22,6 +22,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             est.fit(np.array([0]))
 
+    def test_non_finite_observations_rejected(self):
+        """A NaN observation used to be accepted and made every
+        probability NaN, so TPE's argmax silently picked candidate 0."""
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AdaptiveParzenEstimator1D(1, 8).fit(np.array([3.0, bad, 7.0]))
+        with pytest.raises(ValueError, match="finite"):
+            AdaptiveParzenEstimator1D([0, 0], [7, 7]).fit(
+                np.array([[1.0, 2.0], [3.0, np.nan]])
+            )
+
+    @pytest.mark.parametrize("method", ["prob", "log_prob"])
+    def test_non_integer_candidates_rejected(self, method):
+        est = AdaptiveParzenEstimator1D(1, 8).fit(np.array([4]))
+        for bad in ([2.5], [np.nan], [np.inf], [3.0, 4.000001]):
+            with pytest.raises(ValueError, match="integers"):
+                getattr(est, method)(np.array(bad))
+
+    def test_integer_valued_float_candidates_accepted(self):
+        est = AdaptiveParzenEstimator1D(1, 8).fit(np.array([4]))
+        np.testing.assert_array_equal(
+            est.prob(np.array([2.0, 5.0])), est.prob(np.array([2, 5]))
+        )
+
+    def test_column_shapes_validated(self):
+        est = AdaptiveParzenEstimator1D([0, 0, 0], [7, 7, 3])
+        with pytest.raises(ValueError):
+            est.fit(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            AdaptiveParzenEstimator1D([0, 0], [7, 7, 3])
+        with pytest.raises(ValueError):
+            AdaptiveParzenEstimator1D([0, 5], [7, 4])
+        est.fit(np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            est.prob(np.zeros(3))
+
     def test_unfitted_raises(self):
         est = AdaptiveParzenEstimator1D(1, 8)
         with pytest.raises(RuntimeError):
@@ -56,6 +92,18 @@ class TestDensity:
         p = est.prob(np.array([0, 9, 100]))
         np.testing.assert_array_equal(p, 0.0)
 
+    def test_outside_range_zero_per_column(self):
+        est = AdaptiveParzenEstimator1D([1, -3], [8, 2]).fit(
+            np.array([[4, 0], [5, -1]])
+        )
+        p = est.prob(np.array([[0, 3], [9, -4], [4, 0]]))
+        np.testing.assert_array_equal(p[:2], 0.0)
+        assert (p[2] > 0).all()
+        with np.errstate(divide="ignore"):
+            assert est.log_prob(np.array([[0, 3]])).tolist() == [
+                [-np.inf, -np.inf]
+            ]
+
     def test_log_prob_matches_prob(self):
         est = AdaptiveParzenEstimator1D(1, 8).fit(np.array([2, 6]))
         v = np.arange(1, 9)
@@ -67,7 +115,8 @@ class TestDensity:
         est = AdaptiveParzenEstimator1D(1, 100).fit(
             np.array([10, 11, 12, 90])
         )
-        by_mu = dict(zip(est._mus[1:], est._sigmas[1:]))  # skip prior
+        # Column 0 of the (components, columns) tables; row 0 is the prior.
+        by_mu = dict(zip(est._mus[1:, 0], est._sigmas[1:, 0]))
         assert by_mu[90.0] > by_mu[11.0]
 
     def test_min_bandwidth_shrinks_with_more_observations(self):
@@ -88,6 +137,48 @@ class TestDensity:
         p = est.prob(np.arange(1, 17))
         assert p.sum() == pytest.approx(1.0, abs=1e-6)
         assert np.all(p >= 0)
+
+
+class TestColumns:
+    """Each column of a multi-column estimator is an independent 1-D
+    estimator over its own range."""
+
+    def test_columns_match_single_column_estimators(self):
+        low, high = np.array([1, 0, -2]), np.array([16, 7, 2])
+        obs = np.array([[3, 0, -2], [3, 5, 1], [12, 7, 2], [4, 1, 0]])
+        est = AdaptiveParzenEstimator1D(low, high).fit(obs)
+        candidates = np.array([[1, 0, -2], [16, 7, 2], [8, 3, 0]])
+        p = est.prob(candidates)
+        assert p.shape == (3, 3)
+        for c in range(3):
+            one = AdaptiveParzenEstimator1D(int(low[c]), int(high[c])).fit(
+                obs[:, c]
+            )
+            assert one.prob(candidates[:, c]).tobytes() == p[:, c].tobytes()
+
+    def test_each_column_normalized(self):
+        est = AdaptiveParzenEstimator1D([1, 1], [16, 4]).fit(
+            np.array([[3, 2], [3, 4], [9, 1]])
+        )
+        grid = np.stack([np.arange(1, 17), np.minimum(np.arange(1, 17), 4)],
+                        axis=1)
+        p = est.prob(grid)
+        assert p[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert p[:4, 1].sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_sample_shape_and_ranges(self):
+        est = AdaptiveParzenEstimator1D([1, 0], [16, 3]).fit(
+            np.array([[4, 1], [8, 3]])
+        )
+        s = est.sample(np.random.default_rng(0), 300)
+        assert s.shape == (300, 2)
+        assert s[:, 0].min() >= 1 and s[:, 0].max() <= 16
+        assert s[:, 1].min() >= 0 and s[:, 1].max() <= 3
+
+    def test_vector_is_the_one_column_case(self):
+        est = AdaptiveParzenEstimator1D([1], [8]).fit(np.array([2, 6]))
+        assert est.prob(np.arange(1, 9)).shape == (8, 1)
+        assert est.sample(np.random.default_rng(0), 5).shape == (5, 1)
 
 
 class TestSampling:
