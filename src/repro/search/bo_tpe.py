@@ -17,9 +17,9 @@ al." (Section VI-B).  This reimplements HyperOpt's TPE suggestion loop
   TPE model), best candidate measured by flat index.
 
 Two estimator fits per suggestion replace the twelve one-dimension fits
-the tuner used to make; the suggestions are bit-identical.  On a 2-core
-x86 host a seeded harris/titan_v S = 400 cell fell from ~1.4 s to
-~0.6 s.
+the tuner used to make; the suggestions are bit-identical.  A traced
+harris/titan_v S = 400 cell on a 2-core x86 host fell from 2.1 s to
+0.7 s.
 
 The paper notes the one HyperOpt limitation it cared about: "the inability
 to specify the balance of random samples to model-driven samples" — i.e.
