@@ -143,19 +143,6 @@ class TestColumns:
     """Each column of a multi-column estimator is an independent 1-D
     estimator over its own range."""
 
-    def test_columns_match_single_column_estimators(self):
-        low, high = np.array([1, 0, -2]), np.array([16, 7, 2])
-        obs = np.array([[3, 0, -2], [3, 5, 1], [12, 7, 2], [4, 1, 0]])
-        est = AdaptiveParzenEstimator1D(low, high).fit(obs)
-        candidates = np.array([[1, 0, -2], [16, 7, 2], [8, 3, 0]])
-        p = est.prob(candidates)
-        assert p.shape == (3, 3)
-        for c in range(3):
-            one = AdaptiveParzenEstimator1D(int(low[c]), int(high[c])).fit(
-                obs[:, c]
-            )
-            assert one.prob(candidates[:, c]).tobytes() == p[:, c].tobytes()
-
     def test_each_column_normalized(self):
         est = AdaptiveParzenEstimator1D([1, 1], [16, 4]).fit(
             np.array([[3, 2], [3, 4], [9, 1]])
