@@ -8,8 +8,9 @@ Records to ``BENCH_batched.json`` and asserts:
   vs 32 full per-task setups and Python-loop dataset replays;
 * ``Objective.evaluate_flats`` is >= 2x faster than the equivalent
   ``evaluate_flat`` loop at GA-generation scale on a table-backed cell;
-* a many-small-cells study runs >= 2x faster wall-clock with
-  ``batch_replications=True`` (chunked dispatch, shared per-group setup).
+* a many-small-cells study's task list runs >= 2x faster through
+  ``ParallelMap.run_grouped`` (the study's dispatch: shared per-group
+  setup) than through ``ParallelMap.run`` one task at a time.
 
 Every comparison asserts bit-identical outputs first, so the measured
 speedups are pure overhead elimination, not changed work.
@@ -22,14 +23,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentDesign, StudyConfig, run_study
-from repro.experiments.optimum import clear_optimum_cache
-from repro.experiments.runner import run_experiment, run_experiment_batch
-from repro.experiments.study import _collect_datasets, build_tasks
+from repro.experiments import ExperimentDesign, StudyConfig
+from repro.experiments.runner import (
+    batch_group_key,
+    run_experiment,
+    run_experiment_batch,
+)
+from repro.experiments.study import (
+    _collect_datasets,
+    _load_landscapes,
+    build_tasks,
+)
 from repro.gpu import TITAN_V
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.landscape import clear_landscape_memo, load_or_compute_landscape
 from repro.kernels import get_kernel
+from repro.parallel import ParallelMap
 from repro.search import Objective
 
 BENCH_BATCHED_PATH = Path(__file__).parent.parent / "BENCH_batched.json"
@@ -59,6 +68,13 @@ def _best_of(n: int, fn) -> float:
     return best
 
 
+def _study_tasks(config, cache):
+    tables = _load_landscapes(config, str(cache))
+    return build_tasks(
+        config, _collect_datasets(config, tables), landscape_cache=str(cache)
+    )
+
+
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     """A landscape cache holding the add/titan_v table, memoized in-process
@@ -82,8 +98,7 @@ def test_rs_replication_group_speedup(warm_cache):
         image_y=512,
         workers=1,
     )
-    datasets = _collect_datasets(config)
-    tasks = build_tasks(config, datasets, landscape_cache=str(cache))
+    tasks = _study_tasks(config, cache)
     assert len(tasks) == 32
 
     sequential = [run_experiment(t) for t in tasks]
@@ -156,7 +171,7 @@ def test_evaluate_flats_generation_speedup(warm_cache):
 
 
 def test_chunked_dispatch_study_speedup(warm_cache):
-    """A many-small-cells study end to end: batch_replications on vs off."""
+    """A many-small-cells study's tasks: grouped vs per-task dispatch."""
     cache, _ = warm_cache
     config = StudyConfig(
         design=ExperimentDesign(sample_sizes=(25,), experiments_at_largest=24),
@@ -167,20 +182,27 @@ def test_chunked_dispatch_study_speedup(warm_cache):
         image_y=512,
         workers=1,
     )
+    tasks = _study_tasks(config, cache)
+    pool = ParallelMap(workers=1)
 
-    def study(batch):
-        clear_optimum_cache()
-        return run_study(
-            config,
-            compute_optima=False,
-            landscape_cache=cache,
-            batch_replications=batch,
-        )
+    def per_task():
+        return [o.result for o in pool.run(run_experiment, tasks)]
 
-    assert study(False).results == study(True).results
+    def grouped():
+        return [
+            o.result
+            for o in pool.run_grouped(
+                run_experiment,
+                run_experiment_batch,
+                tasks,
+                group_key=batch_group_key,
+            )
+        ]
 
-    t_seq = _best_of(3, lambda: study(False))
-    t_batch = _best_of(3, lambda: study(True))
+    assert per_task() == grouped()
+
+    t_seq = _best_of(3, per_task)
+    t_batch = _best_of(3, grouped)
     speedup = t_seq / t_batch
     _record_bench("chunked_dispatch_study", {
         "cells": 24,
@@ -191,6 +213,6 @@ def test_chunked_dispatch_study_speedup(warm_cache):
         "threshold": 2.0,
     })
     assert speedup >= 2.0, (
-        f"batched study dispatch is only {speedup:.1f}x faster "
-        f"({t_batch * 1e3:.1f}ms vs sequential {t_seq * 1e3:.1f}ms)"
+        f"grouped dispatch is only {speedup:.1f}x faster "
+        f"({t_batch * 1e3:.1f}ms vs per-task {t_seq * 1e3:.1f}ms)"
     )

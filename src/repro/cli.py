@@ -125,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cell retries (capped backoff) for transient errors",
     )
     parser.add_argument(
-        "--batch-replications", action="store_true",
-        help="execute same-cell replication groups through the batched "
-             "engine (shared setup + vectorized dataset work; Random "
-             "Search groups collapse to pure array reductions) — "
-             "bit-identical results, substantially faster studies",
-    )
-    parser.add_argument(
         "--adaptive", action="store_true",
         help="adaptive sequential replication: grow each (algorithm, "
              "kernel, arch, S) replication group in batches and stop "
@@ -216,11 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--landscape-cache", metavar="DIR",
-        help="directory for memory-mapped landscape tables: one full "
-             "noise-free simulator pass per (kernel, arch), cached on "
-             "disk and reused by every dataset row, optimum scan, and "
-             "tuner measurement (bit-identical results; defaults to "
-             "$REPRO_LANDSCAPE_CACHE when set)",
+        help="where landscape tables persist.  Tables are always on: "
+             "one full noise-free simulator pass per (kernel, arch), "
+             "reused by every dataset row, optimum scan, and tuner "
+             "measurement.  With DIR they are cached on disk and "
+             "memory-mapped by workers; without it (and without "
+             "$REPRO_LANDSCAPE_CACHE) they are kept in memory",
     )
     parser.add_argument(
         "--result-store", metavar="DIR",
@@ -315,7 +309,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_dir=args.trace_dir,
             metrics=registry,
             landscape_cache=args.landscape_cache,
-            batch_replications=args.batch_replications,
             adaptive=adaptive,
             trace_level=args.trace_level,
             profile=args.profile or bool(args.profile_out),

@@ -14,16 +14,20 @@ landscape-table replica; per-experiment RNG streams are derived from the
 task's own key, making results independent of execution order, worker
 count, and work placement.
 
-Replications of the same study cell (tasks identical except for their
-``experiment`` index and dataset rows) additionally batch:
-:func:`run_experiment_batch` executes a whole replication group at once,
-sharing the kernel/space/landscape setup and the dataset decode across
-the group — and, for tuners implementing
-:meth:`~repro.search.Tuner.tune_batch` (Random Search), collapsing the
-entire group into vectorized array work.  Results are bit-identical to
-:func:`run_experiment` per task: every replication keeps its own
-``cell_key``-derived RNG streams, so nothing about grouping leaks into
-the numbers.
+A study runs every cell through :func:`run_experiment_batch`, one
+replication group (tasks identical except for their ``experiment`` index
+and dataset rows) at a time: the group shares the kernel/space/landscape
+setup and the dataset decode — and, for tuners implementing
+:meth:`~repro.search.Tuner.tune_batch` (Random Search), collapses into
+vectorized array work.  :func:`run_experiment` runs one task alone; it
+is ``tune()``'s entry point and grouped dispatch's per-task retry
+fallback.  The two are bit-identical per task: every replication keeps
+its own ``cell_key``-derived RNG streams, so nothing about grouping
+leaks into the numbers.
+
+Every measurement is a lookup in the (kernel, arch) landscape table —
+memory-mapped from the task's ``landscape_cache`` directory, or built in
+memory once per process when it has none.
 """
 
 from __future__ import annotations
@@ -116,11 +120,11 @@ class ExperimentTask:
     #: A string (not Path) so tasks stay cheaply picklable; each worker
     #: process appends to its own ``trace-<pid>.jsonl`` inside it.
     trace_dir: Optional[str] = None
-    #: Landscape-table cache directory.  When set, the worker memory-maps
-    #: the precomputed noise-free runtime table for this task's
-    #: (kernel, arch) pair — one simulator pass per landscape study-wide,
-    #: shared read-only pages across the process pool — and every
-    #: measurement becomes a table lookup.  A string for picklability.
+    #: Landscape-table cache directory.  Every measurement is a lookup
+    #: in this task's (kernel, arch) noise-free runtime table.  When set,
+    #: the worker memory-maps the cached table (read-only pages shared
+    #: across the process pool); ``None`` builds it in memory, once per
+    #: process.  A string for picklability.
     landscape_cache: Optional[str] = None
     #: What the trace stream records when ``trace_dir`` is set:
     #: ``"events"`` (default, v1 behavior) — trajectory events only;
@@ -194,12 +198,8 @@ def _context_for(task: ExperimentTask) -> _CellContext:
     profile = kernel.profile()
     space = kernel.space()
     arch = get_architecture(task.arch)
-    table = (
-        load_or_compute_landscape(
-            profile, arch, space, cache_dir=task.landscape_cache
-        )
-        if task.landscape_cache is not None
-        else None
+    table = load_or_compute_landscape(
+        profile, arch, space, cache_dir=task.landscape_cache
     )
     return _CellContext(
         kernel=kernel, profile=profile, space=space, arch=arch, table=table
@@ -247,17 +247,10 @@ def _run_cell(
     """
     _injected_failure_check(task.cell_key)
     space = ctx.space
-    table = ctx.table
-
-    rngs = RngFactory(task.root_seed)
-    device = SimulatedDevice(
-        ctx.arch,
-        ctx.profile,
-        noise=task.noise,
-        rng=rngs.stream_for(task.cell_key + "/device"),
-        table=table,
+    device = _device_for(task, ctx)
+    search_rng = RngFactory(task.root_seed).stream_for(
+        task.cell_key + "/search"
     )
-    search_rng = rngs.stream_for(task.cell_key + "/search")
     tuner = make_tuner(task.algorithm, **dict(task.tuner_kwargs))
 
     cell = task.cell_key
@@ -271,12 +264,10 @@ def _run_cell(
     def measure(config: dict) -> float:
         return device.measure(config).runtime_ms
 
-    measure_flat = (
-        (lambda flat: device.measure_flat(flat).runtime_ms)
-        if table is not None
-        else None
-    )
-    measure_flats = device.measure_flats_each if table is not None else None
+    def measure_flat(flat: int) -> float:
+        return device.measure_flat(flat).runtime_ms
+
+    measure_flats = device.measure_flats_each
 
     if isinstance(tuner, DatasetTuner):
         if task.dataset_flats is None or task.dataset_runtimes is None:
@@ -360,20 +351,8 @@ def _run_cell(
         )
         result = tuner.run(objective, search_rng)
 
-    # Final re-evaluation (Section VI-A): the chosen configuration runs
-    # final_repeats more times; the mean is the reported outcome.
-    finals = [
-        m.runtime_ms
-        for m in device.measure_repeated(result.best_config, task.final_repeats)
-    ]
-    final_ms = float(np.mean(finals))
-    if not np.isfinite(final_ms):
-        raise NonFiniteResultError(
-            f"cell {task.cell_key}: chosen configuration "
-            f"{result.best_config!r} produced a non-finite final runtime "
-            f"({final_ms} ms over {task.final_repeats} repeats) — the "
-            f"configuration likely fails to launch on {task.arch}"
-        )
+    best_flat = int(space.config_to_flat(result.best_config))
+    final_ms = _final_runtime_ms(task, device, space, best_flat)
 
     # Observability payloads.  The convergence curve comes from the full
     # evaluation history (dataset rows included), so every technique gets
@@ -386,6 +365,7 @@ def _run_cell(
         sum(1 for r in result.history_runtimes if not math.isfinite(r))
     )
     cell_metrics["device_launches_total"] = float(device.launches)
+    cell_metrics["landscape_lookups_total"] = float(device.lookups)
     cell_metrics["final_repeats_total"] = float(task.final_repeats)
 
     if tracer.enabled:
@@ -394,7 +374,7 @@ def _run_cell(
             cell=cell,
             final_runtime_ms=final_ms,
             samples_used=int(result.samples_used),
-            best_flat=int(space.config_to_flat(result.best_config)),
+            best_flat=best_flat,
         )
 
     return ExperimentResult(
@@ -404,12 +384,41 @@ def _run_cell(
         sample_size=task.sample_size,
         experiment=task.experiment,
         final_runtime_ms=final_ms,
-        best_flat=space.config_to_flat(result.best_config),
+        best_flat=best_flat,
         observed_best_ms=result.best_runtime_ms,
         samples_used=result.samples_used,
         convergence=convergence,
         metrics=cell_metrics,
     )
+
+
+def _device_for(task: ExperimentTask, ctx: _CellContext) -> SimulatedDevice:
+    """The cell's table-backed device on its own cell-key noise stream."""
+    return SimulatedDevice(
+        ctx.arch,
+        ctx.profile,
+        noise=task.noise,
+        rng=RngFactory(task.root_seed).stream_for(task.cell_key + "/device"),
+        table=ctx.table,
+    )
+
+
+def _final_runtime_ms(
+    task: ExperimentTask, device: SimulatedDevice, space, best_flat: int
+) -> float:
+    """Final re-evaluation (Section VI-A): the chosen configuration runs
+    ``final_repeats`` more times; the mean is the reported outcome."""
+    finals = device.measure_flat_repeated(best_flat, task.final_repeats)
+    final_ms = float(np.mean(finals))
+    if not np.isfinite(final_ms):
+        raise NonFiniteResultError(
+            f"cell {task.cell_key}: chosen configuration "
+            f"{space.flat_to_config(best_flat)!r} produced a non-finite "
+            f"final runtime ({final_ms} ms over {task.final_repeats} "
+            f"repeats) — the configuration likely fails to launch on "
+            f"{task.arch}"
+        )
+    return final_ms
 
 
 # -- batched replication engine ------------------------------------------------
@@ -478,11 +487,7 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    if (
-        isinstance(tuner, DatasetTuner)
-        and ctx.table is not None
-        and not _events_enabled(first)
-    ):
+    if isinstance(tuner, DatasetTuner) and not _events_enabled(first):
         # Spans-only tracing keeps the vectorized fast path: spans need
         # no per-evaluate events, so group-level work stays collapsed.
         vectorized = _run_dataset_batch(tasks, ctx, tuner)
@@ -593,35 +598,16 @@ def _run_dataset_batch(
     for i, task in enumerate(tasks):
         try:
             _injected_failure_check(task.cell_key)
-        except InjectedFailure as exc:
+            best_flat = int(result.best_flats[i])
+            # Per-replication device stream, derived from the cell key
+            # alone — the final re-evaluation consumes the identical noise
+            # draws the sequential path would.  (The "/search" stream is
+            # never drawn from by a zero-reserve dataset tuner, so it
+            # isn't created.)
+            device = _device_for(task, ctx)
+            final_ms = _final_runtime_ms(task, device, ctx.space, best_flat)
+        except (InjectedFailure, NonFiniteResultError) as exc:
             out.append(TaskFailure.from_exception(exc))
-            continue
-        best_flat = int(result.best_flats[i])
-        # Per-replication device stream, derived from the cell key alone —
-        # the final re-evaluation consumes the identical noise draws the
-        # sequential path would.  (The "/search" stream is never drawn
-        # from by a zero-reserve dataset tuner, so it isn't created.)
-        rngs = RngFactory(task.root_seed)
-        device = SimulatedDevice(
-            ctx.arch,
-            ctx.profile,
-            noise=task.noise,
-            rng=rngs.stream_for(task.cell_key + "/device"),
-            table=ctx.table,
-        )
-        finals = device.measure_flat_repeated(best_flat, task.final_repeats)
-        final_ms = float(np.mean(finals))
-        if not np.isfinite(final_ms):
-            try:
-                raise NonFiniteResultError(
-                    f"cell {task.cell_key}: chosen configuration "
-                    f"{space.flat_to_config(best_flat)!r} produced a "
-                    f"non-finite final runtime ({final_ms} ms over "
-                    f"{task.final_repeats} repeats) — the configuration "
-                    f"likely fails to launch on {task.arch}"
-                )
-            except NonFiniteResultError as exc:
-                out.append(TaskFailure.from_exception(exc))
             continue
         history = result.history_runtimes[i]
         cell_metrics = {
@@ -630,6 +616,7 @@ def _run_dataset_batch(
                 np.count_nonzero(~np.isfinite(history))
             ),
             "device_launches_total": float(device.launches),
+            "landscape_lookups_total": float(device.lookups),
             "final_repeats_total": float(task.final_repeats),
         }
         out.append(

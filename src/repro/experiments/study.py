@@ -5,13 +5,15 @@ The paper's study is 5 algorithms x 3 benchmarks x 3 architectures x
 (Section VII, footnote 1).  :func:`run_study` reproduces that pipeline at
 any scale:
 
-1. collect the pre-measured dataset for each (kernel, architecture) —
-   the non-SMBO sample source (Section VI-B),
-2. compute each landscape's true optimum by exhaustive scan (the
-   denominator of "percentage of optimum"),
-3. fan every experiment out over a process pool with per-experiment
-   reproducible RNG streams,
-4. gather everything into a :class:`~repro.experiments.results.StudyResults`.
+1. build (or load) the landscape table of each (kernel, architecture)
+   — every later measurement is a lookup in it,
+2. collect the pre-measured dataset for each landscape — the non-SMBO
+   sample source (Section VI-B),
+3. compute each landscape's true optimum by exhaustive scan of its
+   table (the denominator of "percentage of optimum"),
+4. fan the experiments out, one replication group per batch, with
+   per-experiment reproducible RNG streams,
+5. gather everything into a :class:`~repro.experiments.results.StudyResults`.
 
 ``StudyConfig`` defaults to the paper's exact design; tests and benches
 shrink it via ``experiments_at_largest``, ``sample_sizes`` and the kernel/
@@ -222,8 +224,11 @@ def _load_landscapes(
     config: StudyConfig, cache_dir: Optional[str]
 ) -> Dict[Tuple[str, str], LandscapeTable]:
     """One landscape table per (kernel, arch) — the study's single
-    full-space simulator pass per landscape.  Tables land in the on-disk
-    cache so worker processes memory-map them instead of recomputing."""
+    full-space simulator pass per landscape, and the source of every
+    measurement after it.  With ``cache_dir`` the tables land on disk so
+    worker processes memory-map them instead of recomputing; without
+    one they are built in memory, memoized per process (forked pool
+    workers inherit them)."""
     out: Dict[Tuple[str, str], LandscapeTable] = {}
     for kname in config.kernels:
         kernel = get_kernel(kname, config.image_x, config.image_y)
@@ -238,9 +243,12 @@ def _load_landscapes(
 
 def _collect_datasets(
     config: StudyConfig,
-    tables: Optional[Dict[Tuple[str, str], LandscapeTable]] = None,
+    tables: Dict[Tuple[str, str], LandscapeTable],
+    metrics: Optional[MetricsRegistry] = None,
 ) -> Dict[Tuple[str, str], PrecollectedDataset]:
-    """One pre-measured dataset per (kernel, arch), reproducibly seeded."""
+    """One pre-measured dataset per (kernel, arch), reproducibly seeded.
+
+    Table lookups are counted into ``metrics`` when given."""
     rngs = RngFactory(config.root_seed)
     out: Dict[Tuple[str, str], PrecollectedDataset] = {}
     rows = config.design.dataset_rows_required
@@ -254,7 +262,7 @@ def _collect_datasets(
                 profile,
                 noise=config.noise,
                 rng=rngs.stream_for(f"dataset/{kname}/{aname}/device"),
-                table=tables.get((kname, aname)) if tables else None,
+                table=tables[(kname, aname)],
             )
             out[(kname, aname)] = collect_dataset(
                 device,
@@ -262,12 +270,16 @@ def _collect_datasets(
                 rows,
                 rngs.stream_for(f"dataset/{kname}/{aname}/sample"),
             )
+            if metrics is not None:
+                metrics.counter("landscape_lookups_total").inc(
+                    float(device.lookups)
+                )
     return out
 
 
 def _compute_optima(
     config: StudyConfig,
-    tables: Optional[Dict[Tuple[str, str], LandscapeTable]] = None,
+    tables: Dict[Tuple[str, str], LandscapeTable],
 ) -> Dict[Tuple[str, str], float]:
     """True noise-free optimum of every (kernel, arch) landscape."""
     out: Dict[Tuple[str, str], float] = {}
@@ -280,7 +292,7 @@ def _compute_optima(
                 profile,
                 get_architecture(aname),
                 space,
-                table=tables.get((kname, aname)) if tables else None,
+                table=tables[(kname, aname)],
             )
             out[(kname, aname)] = opt.runtime_ms
     return out
@@ -440,7 +452,6 @@ def _run_adaptive(
     registry: MetricsRegistry,
     trace_dir: Optional[str],
     landscape_cache: Optional[str],
-    batch_replications: bool,
     trace_level: str = "events",
     span_parent: Optional[SpanContext] = None,
     store: Optional[ResultStore] = None,
@@ -627,18 +638,13 @@ def _run_adaptive(
             group.dispatched = target
         if pending:
             telemetry.add_tasks(len(pending))
-            if batch_replications:
-                outcomes = pool.run_grouped(
-                    run_experiment,
-                    run_experiment_batch,
-                    pending,
-                    group_key=batch_group_key,
-                    on_outcome=on_outcome,
-                )
-            else:
-                outcomes = pool.run(
-                    run_experiment, pending, on_outcome=on_outcome
-                )
+            outcomes = pool.run_grouped(
+                run_experiment,
+                run_experiment_batch,
+                pending,
+                group_key=batch_group_key,
+                on_outcome=on_outcome,
+            )
             for outcome in outcomes:
                 if outcome.ok:
                     results_by_key[outcome.task.cell_key] = outcome.result
@@ -772,7 +778,6 @@ def run_study(
     trace_dir: Optional[object] = None,
     metrics: Optional[MetricsRegistry] = None,
     landscape_cache: Optional[object] = None,
-    batch_replications: bool = False,
     adaptive: Optional[AdaptiveConfig] = None,
     trace_level: str = "events",
     profile: bool = False,
@@ -824,25 +829,15 @@ def run_study(
         counters).  A private registry is used when ``None``; either way
         the aggregate lands in ``StudyResults.metadata["metrics"]``.
     landscape_cache:
-        Directory for memory-mapped landscape tables.  When set (or when
-        ``REPRO_LANDSCAPE_CACHE`` is in the environment), each
-        (kernel, arch) landscape's full noise-free runtime vector is
-        computed once up front — or loaded from a previous run's cache —
-        and every dataset row, optimum scan, and tuner measurement
-        becomes a table lookup.  Worker processes memory-map the same
-        files, sharing read-only pages.  Results are bit-identical with
-        the cache on or off.  ``None`` with no environment override runs
-        fully live.
-    batch_replications:
-        Dispatch same-cell replication groups through the batched
-        engine (:func:`~repro.experiments.runner.run_experiment_batch`
-        via :meth:`~repro.parallel.ParallelMap.run_grouped`): the group
-        shares kernel/space/landscape setup and one vectorized dataset
-        decode, and Random Search collapses each group into pure array
-        work.  Per-cell failure attribution, retries, checkpointing and
-        telemetry behave exactly as in the per-task path, and results
-        are bit-identical — each replication keeps its own
-        cell-key-derived RNG streams.  Off by default.
+        Where landscape tables persist.  Each (kernel, arch) landscape's
+        full noise-free runtime vector is computed once up front, and
+        every dataset row, optimum scan, and tuner measurement is a
+        lookup in it.  With a directory (or ``REPRO_LANDSCAPE_CACHE`` in
+        the environment) the tables are saved there — or loaded from a
+        previous run — and worker processes memory-map the same files,
+        sharing read-only pages.  ``None`` with no environment override
+        keeps the tables in memory, once per process.  Results are
+        bit-identical either way.
     adaptive:
         An :class:`~repro.experiments.design.AdaptiveConfig` switches
         replication from the fixed design to sequential stopping: each
@@ -937,9 +932,9 @@ def run_study(
         emit=emit if callable(emit) else None, profiler=profiler
     )
     registry = metrics if metrics is not None else MetricsRegistry()
-    # Dataset collection and optimum scans run in *this* process and hit
-    # the process-global simulator counters; snapshot them so the delta
-    # can be folded into the study registry at the end.
+    # Landscape-table builds run in *this* process and hit the
+    # process-global simulator counters; snapshot them so the delta can
+    # be folded into the study registry at the end.
     _global_before = global_registry().flat_counters()
 
     if landscape_cache is None:
@@ -976,14 +971,13 @@ def run_study(
                 else:
                     yield
 
-        tables: Optional[Dict[Tuple[str, str], LandscapeTable]] = None
-        if cache_dir is not None:
-            with study_phase("landscapes"):
-                tables = _load_landscapes(config, cache_dir)
-            telemetry.line(
-                f"prepared {len(tables)} landscape tables in {cache_dir} "
-                f"in {telemetry.phase_seconds['landscapes']:.1f}s"
-            )
+        with study_phase("landscapes"):
+            tables = _load_landscapes(config, cache_dir)
+        telemetry.line(
+            f"prepared {len(tables)} landscape tables "
+            f"in {cache_dir if cache_dir is not None else 'memory'} "
+            f"in {telemetry.phase_seconds['landscapes']:.1f}s"
+        )
 
         store: Optional[ResultStore] = None
         if result_store is None:
@@ -1063,7 +1057,7 @@ def run_study(
                 )
             else:
                 with study_phase("dataset"):
-                    datasets = _collect_datasets(config, tables)
+                    datasets = _collect_datasets(config, tables, registry)
                 telemetry.line(
                     f"collected {len(datasets)} datasets "
                     f"({config.design.dataset_rows_required} rows each) "
@@ -1138,7 +1132,6 @@ def run_study(
                     ) = _run_adaptive(
                         config, adaptive, datasets, optima, pool, ckpt,
                         telemetry, registry, trace_dir_str, cache_dir,
-                        batch_replications,
                         trace_level=trace_level, span_parent=exp_ctx,
                         store=store, fingerprints=fingerprints,
                     )
@@ -1219,18 +1212,13 @@ def run_study(
 
             try:
                 with study_phase("experiments", span=exp_span):
-                    if batch_replications:
-                        outcomes = pool.run_grouped(
-                            run_experiment,
-                            run_experiment_batch,
-                            pending,
-                            group_key=batch_group_key,
-                            on_outcome=on_outcome,
-                        )
-                    else:
-                        outcomes = pool.run(
-                            run_experiment, pending, on_outcome=on_outcome
-                        )
+                    outcomes = pool.run_grouped(
+                        run_experiment,
+                        run_experiment_batch,
+                        pending,
+                        group_key=batch_group_key,
+                        on_outcome=on_outcome,
+                    )
             finally:
                 if ckpt is not None:
                     ckpt.close()
@@ -1319,7 +1307,6 @@ def run_study(
         "resumed_from_checkpoint": resumed,
         "failure_policy": failure_policy,
         "executor": executor,
-        "batch_replications": batch_replications,
         "adaptive": adaptive_meta,
         "telemetry": telemetry.snapshot(),
         "metrics": registry.to_json(),

@@ -31,7 +31,6 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..obs.metrics import global_registry
 from .arch import GpuArchitecture
 from .noise import DEFAULT_NOISE, NoiseModel
 from .simulator import CONFIG_COLUMNS, SimulationResult, simulate_runtimes
@@ -70,19 +69,6 @@ def config_dict_to_row(config: Mapping[str, int]) -> np.ndarray:
             f"configuration is missing parameter {exc.args[0]!r}; the GPU "
             f"simulator needs all of {CONFIG_COLUMNS}"
         ) from None
-
-
-#: Cached (registry, lookups counter) — same pattern as the simulator's
-#: counters: one identity check per measurement instead of a dict lookup.
-_COUNTERS: tuple = (None, None)
-
-
-def _lookup_counter():
-    global _COUNTERS
-    registry = global_registry()
-    if _COUNTERS[0] is not registry:
-        _COUNTERS = (registry, registry.counter("landscape_lookups_total"))
-    return _COUNTERS[1]
 
 
 class SimulatedDevice:
@@ -129,6 +115,7 @@ class SimulatedDevice:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.table = table
         self._launches = 0
+        self._lookups = 0
         # Constant per device (profile and bandwidth are fixed), yet it
         # used to be recomputed on every single measurement.
         eb = profile.element_bytes
@@ -144,8 +131,15 @@ class SimulatedDevice:
         """Total kernel launches performed (the paper's 'samples')."""
         return self._launches
 
+    @property
+    def lookups(self) -> int:
+        """True runtimes resolved from the landscape table (counted per
+        device, like :attr:`launches`, so a cell reports its own)."""
+        return self._lookups
+
     def reset_counter(self) -> None:
         self._launches = 0
+        self._lookups = 0
 
     # -- transfers ----------------------------------------------------------
     def transfer_time_ms(self) -> float:
@@ -157,7 +151,7 @@ class SimulatedDevice:
         """(noise-free runtime ms, valid) — table lookup or 1-row pipeline."""
         if self.table is not None:
             flat = self.table.flat_of(config)
-            _lookup_counter().inc()
+            self._lookups += 1
             return self.table.runtime_at(flat), not self.table.failure_at(flat)
         row = config_dict_to_row(config)
         sim = simulate_runtimes(self.profile, self.arch, row)
@@ -179,7 +173,7 @@ class SimulatedDevice:
         fast path: no configuration dict or simulator row is built)."""
         table = self._require_table("measure_flat")
         flat = int(flat)
-        _lookup_counter().inc()
+        self._lookups += 1
         noisy = self.noise.apply(
             np.array([table.runtime_at(flat)]), self.rng
         )
@@ -237,7 +231,7 @@ class SimulatedDevice:
         """
         table = self._require_table("measure_flats")
         flats = np.asarray(flats, dtype=np.int64)
-        _lookup_counter().inc(float(flats.size))
+        self._lookups += int(flats.size)
         noisy = self.noise.apply(table.runtimes_at(flats), self.rng)
         self._launches += int(flats.size)
         return noisy
@@ -256,7 +250,7 @@ class SimulatedDevice:
         """
         table = self._require_table("measure_flats_each")
         flats = np.asarray(flats, dtype=np.int64)
-        _lookup_counter().inc(float(flats.size))
+        self._lookups += int(flats.size)
         noisy = self.noise.apply_each(table.runtimes_at(flats), self.rng)
         self._launches += int(flats.size)
         return noisy
@@ -272,7 +266,7 @@ class SimulatedDevice:
         table = self._require_table("measure_flat_repeated")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
-        _lookup_counter().inc()
+        self._lookups += 1
         true_ms = table.runtime_at(int(flat))
         noisy = self.noise.apply(
             np.full(repeats, true_ms, dtype=np.float64), self.rng

@@ -13,20 +13,22 @@ tuning-space benchmarks make (Schoonhoven et al.'s benchmarking suite,
 Tørring et al.'s benchmark proposal): record the space once, then search
 against the recording.
 
-Tables are computed once with the existing chunked scan and persisted to
-an on-disk cache (``--landscape-cache`` / ``REPRO_LANDSCAPE_CACHE``) as
-two ``.npy`` files plus a JSON sidecar, keyed by a stable fingerprint of
-everything that determines the landscape: the profile's fields, the
-architecture's fields, the space's parameters and constraints, and
+Tables are computed once with the existing chunked scan.  Studies always
+measure through them; with a cache directory (``--landscape-cache`` /
+``REPRO_LANDSCAPE_CACHE``) they persist as two ``.npy`` files plus a JSON
+sidecar, keyed by a stable fingerprint of everything that determines the
+landscape: the profile's fields, the architecture's fields, the space's
+parameters and constraints, and
 :data:`~repro.gpu.simulator.SIMULATOR_VERSION`.  Workers open the cached
 arrays with ``np.load(mmap_mode="r")``, so a process pool shares one
 physical copy of each table through the OS page cache instead of
-re-simulating (or re-loading) per process.
+re-simulating (or re-loading) per process.  Without a directory each
+table lives in memory, memoized per process.
 
-Because noise is applied *after* the lookup and table values are
-bit-identical to 1-row simulator calls, table-backed and live measurement
-paths produce byte-identical studies — the parity suite in
-``tests/experiments/test_landscape_parity.py`` enforces this.
+Noise is applied *after* the lookup and table values are bit-identical to
+1-row simulator calls, so a table-backed study reproduces the live
+simulator exactly — ``tests/experiments/golden_study.py`` holds the
+digest the live path pinned.
 
 Cache integrity is best-effort by design: a missing, torn, or corrupt
 sidecar/array simply triggers a rebuild (writes are atomic via

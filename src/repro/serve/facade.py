@@ -100,8 +100,10 @@ def tune(
     replicate), and ``root_seed``/``final_repeats``/``noise`` the seed
     policy.  ``store`` is a :class:`~repro.store.ResultStore`, a
     directory path, or ``None`` (use ``$REPRO_RESULT_STORE``; when that
-    is unset too, every request runs cold).  ``landscape_cache``
-    defaults to ``$REPRO_LANDSCAPE_CACHE``.
+    is unset too, every request runs cold).  ``landscape_cache`` is
+    where the landscape table persists; it defaults to
+    ``$REPRO_LANDSCAPE_CACHE``, and with neither the table is built in
+    memory, once per process.
 
     The result is deterministic in its identity fields — a warm answer
     is bit-identical to the cold run it replaces.
@@ -171,12 +173,8 @@ def tune(
 
     flats = runtimes = None
     if needs_data:
-        table = (
-            load_or_compute_landscape(
-                profile, arch_obj, space, cache_dir=cache_dir
-            )
-            if cache_dir is not None
-            else None
+        table = load_or_compute_landscape(
+            profile, arch_obj, space, cache_dir=cache_dir
         )
         rngs = RngFactory(root_seed)
         device = SimulatedDevice(

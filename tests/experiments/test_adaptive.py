@@ -28,7 +28,12 @@ from repro.experiments import (
     run_study,
 )
 from repro.experiments.optimum import clear_optimum_cache
-from repro.experiments.runner import FAIL_CELLS_ENV
+from repro.experiments.runner import FAIL_CELLS_ENV, run_experiment
+from repro.experiments.study import (
+    _collect_datasets,
+    _load_landscapes,
+    build_tasks,
+)
 from repro.gpu.landscape import LANDSCAPE_CACHE_ENV, clear_landscape_memo
 from repro.obs import validate_trace_path
 
@@ -189,21 +194,23 @@ class TestAdaptiveStudy:
         assert a.metadata["adaptive"] == b.metadata["adaptive"]
 
     def test_batched_dispatch_is_bit_identical(self, tmp_path):
-        cache = tmp_path / "cache"
-        sequential = run_study(
-            smoke_config(), landscape_cache=cache, adaptive=loose()
-        )
-        clear_optimum_cache()
-        batched = run_study(
-            smoke_config(),
-            landscape_cache=cache,
-            adaptive=loose(),
-            batch_replications=True,
-        )
-        assert sequential.results == batched.results
-        assert (
-            sequential.metadata["adaptive"] == batched.metadata["adaptive"]
-        )
+        # Adaptive rounds dispatch replication groups through the batched
+        # engine; every replication equals its cell run on its own.
+        cache = str(tmp_path / "cache")
+        config = smoke_config()
+        batched = run_study(config, landscape_cache=cache, adaptive=loose())
+        datasets = _collect_datasets(config, _load_landscapes(config, cache))
+        tasks = {
+            task.cell_key: task
+            for task in build_tasks(config, datasets, landscape_cache=cache)
+        }
+        assert batched.results
+        for result in batched.results:
+            key = (
+                f"{result.algorithm}/{result.kernel}/{result.arch}/"
+                f"{result.sample_size}/{result.experiment}"
+            )
+            assert result == run_experiment(tasks[key])
 
     def test_smbo_tuner_supported(self, tmp_path):
         # Live (non-dataset) tuners go through the same loop; their cells

@@ -1,10 +1,14 @@
-"""Batched replication engine vs per-task execution: bit-identity.
+"""Grouped (batched) dispatch reproduces the per-task cell, bit for bit.
 
-The batched engine's whole contract mirrors the landscape-table one:
-``batch_replications=True`` may share setup and vectorize across a
+Every study cell runs through the batched engine
+(:func:`~repro.experiments.runner.run_experiment_batch` via
+``ParallelMap.run_grouped``).  It may share setup and vectorize across a
 replication group, but every replication keeps its own cell-key-derived
 RNG streams — so results, checkpoints, and traces must be *identical* to
-the per-task path, not merely statistically equivalent.
+what :func:`~repro.experiments.runner.run_experiment` (``tune()``'s entry
+point and the per-task retry fallback) produces one task at a time, and
+to the golden digest the per-task path pinned
+(:mod:`tests.experiments.golden_study`).
 
 Wall-clock timing sums in ``ExperimentResult.metrics`` are the one
 legitimately nondeterministic checkpoint payload, so ``time.perf_counter``
@@ -19,22 +23,27 @@ import pytest
 
 from repro.experiments import ExperimentDesign, StudyConfig, run_study
 from repro.experiments.optimum import clear_optimum_cache
+from repro.experiments.results import StudyResults
 from repro.experiments.runner import (
     FAIL_CELLS_ENV,
     batch_group_key,
     run_experiment,
     run_experiment_batch,
 )
-from repro.experiments.study import build_tasks, _collect_datasets
+from repro.experiments.study import (
+    _collect_datasets,
+    _compute_optima,
+    _load_landscapes,
+    build_tasks,
+)
 from repro.gpu.landscape import LANDSCAPE_CACHE_ENV, clear_landscape_memo
 from repro.parallel import TaskFailure
 
-ALL_PAPER_ALGORITHMS = (
-    "random_search",
-    "random_forest",
-    "genetic_algorithm",
-    "bo_gp",
-    "bo_tpe",
+from .golden_study import (
+    ALL_PAPER_ALGORITHMS,
+    GOLDEN_SHA256,
+    golden_config,
+    study_digest,
 )
 
 
@@ -63,50 +72,42 @@ def smoke_config(**kwargs):
     return StudyConfig(**defaults)
 
 
+def study_tasks(config, cache=None, **task_kwargs):
+    """The study's task list and optima, built as ``run_study`` does."""
+    cache_dir = str(cache) if cache is not None else None
+    tables = _load_landscapes(config, cache_dir)
+    tasks = build_tasks(
+        config,
+        _collect_datasets(config, tables),
+        landscape_cache=cache_dir,
+        **task_kwargs,
+    )
+    return tasks, _compute_optima(config, tables)
+
+
+def per_task_study(config, cache=None):
+    """The study's cells run one at a time through ``run_experiment``."""
+    tasks, optima = study_tasks(config, cache)
+    return StudyResults(
+        results=[run_experiment(task) for task in tasks], optima=optima
+    )
+
+
 class TestStudyParity:
     def test_all_paper_tuners_identical_with_tables(self, tmp_path):
-        config = smoke_config()
-        cache = tmp_path / "cache"
-        sequential = run_study(config, landscape_cache=cache)
-        clear_optimum_cache()
-        batched = run_study(
-            config, landscape_cache=cache, batch_replications=True
-        )
-        assert batched.metadata["batch_replications"] is True
-        assert sequential.metadata["batch_replications"] is False
-        assert sequential.results == batched.results
-        assert sequential.optima == batched.optima
-        for a, b in zip(sequential.results, batched.results):
-            assert a.final_runtime_ms == b.final_runtime_ms
-            assert a.observed_best_ms == b.observed_best_ms
-            assert a.best_flat == b.best_flat
-            assert a.convergence == b.convergence
+        # Tables persisted in a cache directory, one task at a time.
+        per_task = per_task_study(golden_config(), tmp_path / "cache")
+        assert study_digest(per_task) == GOLDEN_SHA256
 
     def test_identical_without_tables(self):
-        # No landscape cache: the vectorized RS engine is unavailable and
-        # every cell takes the shared-context fallback — still identical.
-        config = smoke_config(
-            algorithms=("random_search", "random_forest", "bo_tpe")
-        )
-        sequential = run_study(config, compute_optima=False)
-        batched = run_study(
-            config, compute_optima=False, batch_replications=True
-        )
-        assert sequential.results == batched.results
+        # No cache directory: tables in memory, one task at a time.
+        assert study_digest(per_task_study(golden_config())) == GOLDEN_SHA256
 
     def test_workers_do_not_change_results(self, tmp_path):
-        config = smoke_config()
-        cache = tmp_path / "cache"
-        serial = run_study(
-            config, landscape_cache=cache, batch_replications=True
-        )
-        clear_optimum_cache()
         parallel = run_study(
-            smoke_config(workers=2),
-            landscape_cache=cache,
-            batch_replications=True,
+            golden_config(workers=2), landscape_cache=tmp_path / "cache"
         )
-        assert serial.results == parallel.results
+        assert study_digest(parallel) == GOLDEN_SHA256
 
     def test_checkpoints_byte_identical_including_mid_group_resume(
         self, tmp_path, monkeypatch
@@ -115,28 +116,18 @@ class TestStudyParity:
         config = smoke_config()
         cache = tmp_path / "cache"
 
-        seq_ckpt = tmp_path / "sequential.jsonl"
-        run_study(config, checkpoint=seq_ckpt, landscape_cache=cache)
-        clear_optimum_cache()
-
         batch_ckpt = tmp_path / "batched.jsonl"
-        run_study(
-            config,
-            checkpoint=batch_ckpt,
-            landscape_cache=cache,
-            batch_replications=True,
-        )
-        assert seq_ckpt.read_bytes() == batch_ckpt.read_bytes()
+        full = run_study(config, checkpoint=batch_ckpt, landscape_cache=cache)
 
         # Cell metrics survive the batched path byte-for-byte too.
-        for line in seq_ckpt.read_text().splitlines():
+        for line in batch_ckpt.read_text().splitlines():
             record = json.loads(line)
             if record.get("kind") == "result":
                 assert "metrics" in record["data"]
 
         # Resume mid-group: truncate inside the first replication group
-        # (3 RS experiments form one batch) and finish with the batched
-        # engine — same results, same set of checkpoint lines.
+        # (3 RS experiments form one batch) and finish the group — same
+        # results, same set of checkpoint lines.
         clear_optimum_cache()
         lines = batch_ckpt.read_bytes().splitlines(keepends=True)
         assert len(lines) > 2
@@ -144,14 +135,9 @@ class TestStudyParity:
         # Header + plan line + first completed cell.
         resumed_ckpt.write_bytes(b"".join(lines[:3]))
         resumed = run_study(
-            config,
-            checkpoint=resumed_ckpt,
-            landscape_cache=cache,
-            batch_replications=True,
+            config, checkpoint=resumed_ckpt, landscape_cache=cache
         )
         assert resumed.metadata["resumed_from_checkpoint"] == 1
-        clear_optimum_cache()
-        full = run_study(config, landscape_cache=cache)
         assert resumed.results == full.results
         assert sorted(resumed_ckpt.read_bytes().splitlines()) == sorted(
             batch_ckpt.read_bytes().splitlines()
@@ -177,23 +163,19 @@ class TestStudyParity:
             return events
 
         seq_dir = tmp_path / "seq-traces"
-        run_study(
-            config,
-            compute_optima=False,
-            landscape_cache=cache,
-            trace_dir=seq_dir,
-        )
+        tasks, _ = study_tasks(config, cache, trace_dir=str(seq_dir))
+        for task in tasks:
+            run_experiment(task)
         batch_dir = tmp_path / "batch-traces"
         batched = run_study(
             config,
             compute_optima=False,
             landscape_cache=cache,
             trace_dir=batch_dir,
-            batch_replications=True,
         )
         assert batched.metadata["trace_dir"] == str(batch_dir)
         seq_events = trace_events(seq_dir)
-        assert seq_events  # the study actually traced something
+        assert seq_events  # the cells actually traced something
         assert seq_events == trace_events(batch_dir)
 
 
@@ -210,13 +192,12 @@ class TestFailuresUnderBatchedDispatch:
             compute_optima=False,
             failure_policy="collect",
             landscape_cache=cache,
-            batch_replications=True,
         )
         failed = results.failed_cells
         assert [f["cell_key"] for f in failed] == [bad_cell]
         assert failed[0]["error_type"] == "InjectedFailure"
         # The two sibling replications of the same batch completed, and
-        # their payloads match an unpoisoned sequential run exactly.
+        # their payloads match an unpoisoned run exactly.
         assert len(results.results) == 2
         clear_optimum_cache()
         monkeypatch.delenv(FAIL_CELLS_ENV)
@@ -238,7 +219,6 @@ class TestFailuresUnderBatchedDispatch:
             compute_optima=False,
             failure_policy="collect",
             landscape_cache=tmp_path / "cache",
-            batch_replications=True,
         )
         assert [f["cell_key"] for f in results.failed_cells] == [bad_cell]
         assert {r.experiment for r in results.results} == {1, 2}
@@ -254,17 +234,13 @@ class TestFailuresUnderBatchedDispatch:
                 config,
                 compute_optima=False,
                 landscape_cache=tmp_path / "cache",
-                batch_replications=True,
             )
         assert err.value.task.cell_key == bad_cell
 
 
 class TestRunExperimentBatch:
     def _tasks(self, config, tmp_path):
-        datasets = _collect_datasets(config)
-        return build_tasks(
-            config, datasets, landscape_cache=str(tmp_path / "cache")
-        )
+        return study_tasks(config, tmp_path / "cache")[0]
 
     def test_matches_run_experiment_per_task(self, tmp_path, monkeypatch):
         monkeypatch.setattr(time, "perf_counter", lambda: 0.0)

@@ -5,17 +5,21 @@ import pytest
 
 from repro.experiments import PrecollectedDataset, collect_dataset
 from repro.gpu import TITAN_V, SimulatedDevice
+from repro.gpu.landscape import load_or_compute_landscape
 from repro.kernels import get_kernel
+
+
+def table_device(kernel, seed):
+    table = load_or_compute_landscape(kernel.profile(), TITAN_V, kernel.space())
+    return SimulatedDevice(
+        TITAN_V, kernel.profile(), rng=np.random.default_rng(seed), table=table
+    )
 
 
 @pytest.fixture
 def setup():
     kernel = get_kernel("add", 1024, 1024)
-    space = kernel.space()
-    device = SimulatedDevice(
-        TITAN_V, kernel.profile(), rng=np.random.default_rng(0)
-    )
-    return kernel, space, device
+    return kernel, kernel.space(), table_device(kernel, 0)
 
 
 class TestCollect:
@@ -40,10 +44,8 @@ class TestCollect:
 
     def test_reproducible(self, setup):
         kernel, space, _ = setup
-        d1 = SimulatedDevice(TITAN_V, kernel.profile(),
-                             rng=np.random.default_rng(9))
-        d2 = SimulatedDevice(TITAN_V, kernel.profile(),
-                             rng=np.random.default_rng(9))
+        d1 = table_device(kernel, 9)
+        d2 = table_device(kernel, 9)
         a = collect_dataset(d1, space, 50, np.random.default_rng(4))
         b = collect_dataset(d2, space, 50, np.random.default_rng(4))
         np.testing.assert_array_equal(a.flats, b.flats)

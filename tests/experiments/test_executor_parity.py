@@ -145,14 +145,26 @@ class TestCheckpointByteIdentity:
         assert results.metadata["executor"] == "socket"
 
     def test_batched_grouped_dispatch_byte_identical(self, tmp_path):
+        # chunk_size=1 packs every replication group into its own worker
+        # message; the checkpoint must not notice.
         reference, ref_bytes = run_with_executor(
-            "serial", tmp_path, "serial-b", batch_replications=True
+            "serial", tmp_path, "serial-b"
         )
         results, blob = run_with_executor(
-            "process", tmp_path, "process-b", batch_replications=True
+            "process", tmp_path, "process-b", chunk_size=1
         )
         assert blob == ref_bytes
         assert result_key(results) == result_key(reference)
+
+    def test_landscape_lookups_independent_of_executor(self, tmp_path):
+        # Cells count their table lookups on their own device and ship
+        # them home in their metrics, so the study total is the same
+        # wherever the cells ran: 50 dataset rows, one per RS final
+        # re-evaluation, and 25 + 1 per GA cell.
+        for name in ("serial", "process", "socket"):
+            results, _ = run_with_executor(name, tmp_path, f"lookups-{name}")
+            lookups = results.metadata["metrics"]["landscape_lookups_total"]
+            assert lookups["series"][0]["value"] == 104.0, name
 
 
 class TestResume:

@@ -1,9 +1,12 @@
-"""Table-backed vs live studies must be byte-identical.
+"""Where landscape tables live must never change a study.
 
-The landscape-table fast path's whole contract is *bit-identity*: same
-runtimes, same RNG consumption, same checkpoints — with or without the
-cache.  These tests run the same smoke study twice (tables on / tables
-off) and compare results, optima, and the raw checkpoint files.
+Every measurement is a landscape-table lookup; ``landscape_cache`` only
+chooses whether the tables persist in a directory (memory-mapped, shared
+by worker processes and later studies) or stay in memory.  These tests
+pin the directory-backed study to the golden digest the live simulator
+produced (:mod:`tests.experiments.golden_study`; the in-memory run is
+``test_study_golden``), and check that checkpoints, resume, the
+environment override and warm-cache reuse agree across both homes.
 
 Wall-clock timing sums in ``ExperimentResult.metrics``
 (``evaluate_seconds_sum`` & co.) are the one legitimately nondeterministic
@@ -14,12 +17,13 @@ constant for the byte-level comparison; the study runs serial
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentDesign, StudyConfig, run_study
 from repro.experiments.optimum import clear_optimum_cache
 from repro.gpu.landscape import LANDSCAPE_CACHE_ENV, clear_landscape_memo
+
+from .golden_study import GOLDEN_SHA256, golden_config, study_digest
 
 
 @pytest.fixture(autouse=True)
@@ -48,21 +52,11 @@ def smoke_config(**kwargs):
 
 class TestStudyParity:
     def test_results_and_optima_identical(self, tmp_path):
-        config = smoke_config()
-        live = run_study(config)
-        clear_optimum_cache()
-        backed = run_study(config, landscape_cache=tmp_path / "cache")
-        assert backed.metadata["landscape_cache"] == str(tmp_path / "cache")
-        assert live.metadata["landscape_cache"] is None
-
-        assert live.results == backed.results
-        assert live.optima == backed.optima
-        # Spot-check the payloads are *exactly* equal, not approximately.
-        for a, b in zip(live.results, backed.results):
-            assert a.final_runtime_ms == b.final_runtime_ms
-            assert a.observed_best_ms == b.observed_best_ms
-            assert a.best_flat == b.best_flat
-            assert a.convergence == b.convergence
+        cache = tmp_path / "cache"
+        backed = run_study(golden_config(), landscape_cache=cache)
+        assert backed.metadata["landscape_cache"] == str(cache)
+        assert len(list(cache.glob("*.json"))) == 1
+        assert study_digest(backed) == GOLDEN_SHA256
 
     def test_checkpoints_byte_identical_including_resume(
         self, tmp_path, monkeypatch
@@ -71,8 +65,9 @@ class TestStudyParity:
         monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
         config = smoke_config()
 
-        live_ckpt = tmp_path / "live.jsonl"
-        run_study(config, checkpoint=live_ckpt)
+        memory_ckpt = tmp_path / "memory.jsonl"
+        in_memory = run_study(config, checkpoint=memory_ckpt)
+        assert in_memory.metadata["landscape_cache"] is None
         clear_optimum_cache()
 
         backed_ckpt = tmp_path / "backed.jsonl"
@@ -81,13 +76,13 @@ class TestStudyParity:
             checkpoint=backed_ckpt,
             landscape_cache=tmp_path / "cache",
         )
-        assert live_ckpt.read_bytes() == backed_ckpt.read_bytes()
+        assert memory_ckpt.read_bytes() == backed_ckpt.read_bytes()
 
-        # Resuming a live checkpoint with tables on completes it to the
-        # same bytes a fresh table-backed run would produce: drop the
-        # trailing lines and rerun.
+        # Resuming an in-memory study's checkpoint with a cache directory
+        # completes it to the same bytes: drop the trailing lines and
+        # rerun.
         clear_optimum_cache()
-        lines = live_ckpt.read_bytes().splitlines(keepends=True)
+        lines = memory_ckpt.read_bytes().splitlines(keepends=True)
         assert len(lines) > 4
         resumed_ckpt = tmp_path / "resumed.jsonl"
         # Header + plan line + first two completed cells.
@@ -98,17 +93,16 @@ class TestStudyParity:
             landscape_cache=tmp_path / "cache",
         )
         assert resumed.metadata["resumed_from_checkpoint"] == 2
-        full = run_study(config, landscape_cache=tmp_path / "cache")
-        assert resumed.results == full.results
+        assert resumed.results == in_memory.results
         # Same set of result lines, modulo completion order (the resumed
         # file appends the remaining cells after the kept prefix).
         assert sorted(resumed_ckpt.read_bytes().splitlines()) == sorted(
-            live_ckpt.read_bytes().splitlines()
+            memory_ckpt.read_bytes().splitlines()
         )
 
     def test_env_var_enables_tables(self, tmp_path, monkeypatch):
         config = smoke_config(algorithms=("genetic_algorithm",))
-        live = run_study(config)
+        in_memory = run_study(config)
         clear_optimum_cache()
         monkeypatch.setenv(LANDSCAPE_CACHE_ENV, str(tmp_path / "envcache"))
         backed = run_study(config)
@@ -116,7 +110,7 @@ class TestStudyParity:
             tmp_path / "envcache"
         )
         assert (tmp_path / "envcache").exists()
-        assert live.results == backed.results
+        assert in_memory.results == backed.results
 
     def test_warm_cache_reused_across_studies(self, tmp_path):
         config = smoke_config(algorithms=("genetic_algorithm",))

@@ -16,7 +16,11 @@ from repro.experiments.runner import (
     run_experiment,
     run_experiment_batch,
 )
-from repro.experiments.study import _collect_datasets, build_tasks
+from repro.experiments.study import (
+    _collect_datasets,
+    _load_landscapes,
+    build_tasks,
+)
 from repro.gpu.landscape import clear_landscape_memo
 from repro.obs import MetricsRegistry
 from repro.parallel import ParallelMap
@@ -45,21 +49,23 @@ def _config(**kwargs):
     return StudyConfig(**defaults)
 
 
-def _tasks(config, tmp_path):
-    datasets = _collect_datasets(config)
-    return build_tasks(
-        config, datasets, landscape_cache=str(tmp_path / "cache")
+def _tasks(config, tmp_path, metrics=None):
+    cache = str(tmp_path / "cache")
+    datasets = _collect_datasets(
+        config, _load_landscapes(config, cache), metrics
     )
+    return build_tasks(config, datasets, landscape_cache=cache)
 
 
 def _counts(flat):
     """Deterministic work counters only: timing sums vary run to run,
-    and landscape build/load counters depend on cache warmth, not on
-    how tasks were dispatched."""
+    and landscape table build/load counters depend on cache warmth, not
+    on how tasks were dispatched."""
     return {
         name: value
         for name, value in flat.items()
-        if "seconds" not in name and not name.startswith("landscape_")
+        if "seconds" not in name
+        and not name.startswith("landscape_tables_")
     }
 
 
@@ -83,23 +89,22 @@ class TestStudyMetricsMerge:
         # the one-off table-build simulator pass in its parent counters.
         run_study(_config(), landscape_cache=cache)
         clear_optimum_cache()
-        per_task = MetricsRegistry()
-        run_study(
-            _config(), metrics=per_task, landscape_cache=cache
-        )
-        clear_optimum_cache()
         grouped = MetricsRegistry()
-        run_study(
-            _config(),
-            metrics=grouped,
-            landscape_cache=cache,
-            batch_replications=True,
+        run_study(_config(), metrics=grouped, landscape_cache=cache)
+        # The same cells dispatched one task at a time, with the study's
+        # parent-side dataset collection.
+        per_task = MetricsRegistry()
+        tasks = _tasks(_config(), tmp_path, metrics=per_task)
+        outcomes = ParallelMap(workers=2, metrics=per_task).run(
+            run_experiment, tasks
         )
+        for outcome in outcomes:
+            per_task.merge_flat(outcome.result.metrics)
         assert _counts(per_task.flat_counters()) == _counts(
             grouped.flat_counters()
         )
         # And the merge actually saw worker-side counters.
-        assert per_task.flat_counters()["evaluations_total"] > 0
+        assert grouped.flat_counters()["evaluations_total"] > 0
 
 
 class TestPoolMetricsMerge:

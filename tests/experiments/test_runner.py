@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import ExperimentTask, run_experiment
 from repro.experiments.dataset import collect_dataset
 from repro.gpu import TITAN_V, SimulatedDevice
+from repro.gpu.landscape import load_or_compute_landscape
 from repro.kernels import get_kernel
 from repro.parallel import RngFactory
 
@@ -28,8 +29,9 @@ def make_task(algorithm="genetic_algorithm", sample_size=25, **kwargs):
 
 def dataset_slice(sample_size, seed=0):
     kernel = get_kernel("add", 1024, 1024)
+    table = load_or_compute_landscape(kernel.profile(), TITAN_V, kernel.space())
     device = SimulatedDevice(
-        TITAN_V, kernel.profile(), rng=np.random.default_rng(seed)
+        TITAN_V, kernel.profile(), rng=np.random.default_rng(seed), table=table
     )
     ds = collect_dataset(
         device, kernel.space(), sample_size, np.random.default_rng(seed)

@@ -9,7 +9,11 @@ from repro.experiments import (
     build_tasks,
     run_study,
 )
-from repro.experiments.study import _collect_datasets, _needs_dataset
+from repro.experiments.study import (
+    _collect_datasets,
+    _load_landscapes,
+    _needs_dataset,
+)
 
 
 def tiny_config(**kwargs):
@@ -24,6 +28,10 @@ def tiny_config(**kwargs):
     )
     defaults.update(kwargs)
     return StudyConfig(**defaults)
+
+
+def datasets_for(cfg):
+    return _collect_datasets(cfg, _load_landscapes(cfg, None))
 
 
 class TestConfig:
@@ -62,14 +70,13 @@ class TestTaskConstruction:
             design=ExperimentDesign(sample_sizes=(25, 50),
                                     experiments_at_largest=2),
         )
-        datasets = _collect_datasets(cfg)
-        tasks = build_tasks(cfg, datasets)
+        tasks = build_tasks(cfg, datasets_for(cfg))
         # 2 algorithms x 1 kernel x 1 arch x (E(25)=4 + E(50)=2).
         assert len(tasks) == 2 * (4 + 2)
 
     def test_dataset_attached_only_to_dataset_tuners(self):
         cfg = tiny_config()
-        tasks = build_tasks(cfg, _collect_datasets(cfg))
+        tasks = build_tasks(cfg, datasets_for(cfg))
         for t in tasks:
             if t.algorithm == "random_search":
                 assert t.dataset_flats is not None
@@ -80,7 +87,7 @@ class TestTaskConstruction:
     def test_dataset_slices_disjoint_within_size(self):
         cfg = tiny_config()
         tasks = [
-            t for t in build_tasks(cfg, _collect_datasets(cfg))
+            t for t in build_tasks(cfg, datasets_for(cfg))
             if t.algorithm == "random_search"
         ]
         seen = set()
@@ -143,7 +150,9 @@ class TestStudyObservability:
         run_study(tiny_config(), compute_optima=False, metrics=registry)
         # 25 samples x 2 experiments x 2 algorithms.
         assert registry.counter("evaluations_total").value == 100.0
-        assert registry.counter("simulator_evals_total").value > 0
+        # Every measurement is a table lookup: 50 dataset rows, one per
+        # RS final re-evaluation, and 25 + 1 per GA cell.
+        assert registry.counter("landscape_lookups_total").value == 104.0
 
     def test_metrics_in_metadata(self):
         import json

@@ -7,6 +7,7 @@ by ``repro-runs diff`` with a non-zero exit code.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,33 @@ class TestDiffSchemaTolerance:
         report = diff_runs(old, new)
         assert report["comparable"] is True
         assert report["changes"] == []
+
+    def test_dropped_batch_replications_key_is_neutral(self, tmp_path):
+        # Manifests recorded while run_study still took a
+        # batch_replications option (the committed benchmark baseline is
+        # one) must diff cleanly against manifests recorded after it.
+        baseline = (
+            Path(__file__).parents[2] / "benchmarks" / "baseline_manifest.json"
+        )
+        old = json.loads(baseline.read_text())
+        assert "batch_replications" in old["config"]
+        config, results = _study(tmp_path)
+        current = build_manifest(config, results, created=1000.0)
+        assert "batch_replications" not in current["config"]
+
+        new = copy.deepcopy(old)
+        del new["config"]["batch_replications"]
+        new["run_id"] = manifest_id(new)
+        report = diff_runs(old, new)
+        assert report["comparable"] is True
+        assert report["changes"] == []
+        assert report["regressions"] == []
+        ledger = tmp_path / "ledger"
+        record_run(ledger, old)
+        record_run(ledger, new)
+        assert runs_main(
+            ["diff", str(ledger), old["run_id"], new["run_id"]]
+        ) == 0
 
     def test_diff_cli_tolerates_schema_drift(self, tmp_path):
         old = self._old_schema()

@@ -23,6 +23,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--algorithms", "hill_climbing"])
 
+    def test_rejects_removed_batch_replications_flag(self):
+        # Grouped dispatch is the only way cells run; the flag is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--batch-replications"])
+
 
 class TestMain:
     def test_tiny_run_end_to_end(self, tmp_path, capsys):
@@ -124,7 +129,10 @@ class TestMain:
         assert "random_search/add/titan_v/25/0" in err
         assert "InjectedFailure" in err
 
-    def test_status_goes_to_stderr_stdout_stays_pipeable(self, capsys):
+    def test_status_goes_to_stderr_stdout_stays_pipeable(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_LANDSCAPE_CACHE", raising=False)
         rc = main(
             [
                 "--algorithms", "random_search",
@@ -140,6 +148,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing but figures ever hits stdout
         assert "design:" in captured.err
+        assert "prepared 1 landscape tables in memory" in captured.err
 
     def test_quiet_silences_status(self, capsys):
         rc = main(
