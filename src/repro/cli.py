@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
         help="tasks per worker message (default: balanced automatic "
-             "chunking; replication groups never split regardless)",
+             "chunking; a replication group's batch never splits "
+             "regardless)",
     )
     parser.add_argument("--paper-scale", action="store_true",
                         help="run the paper's full design (slow!)")

@@ -894,8 +894,8 @@ def run_study(
         let workers join elastically).
     chunk_size:
         Tasks per worker message (``None`` = balanced automatic
-        chunking; grouped dispatch never splits a replication group
-        regardless).
+        chunking; grouped dispatch never splits a replication group's
+        batch regardless).
     result_store:
         A :class:`~repro.store.ResultStore`, a store directory path,
         ``None`` (use ``$REPRO_RESULT_STORE``; unset disables the

@@ -419,7 +419,7 @@ class ParallelMap:
         Tasks per worker message.  ``None`` -> balanced chunks (about 4
         chunks per unit of executor parallelism); grouped dispatch
         additionally floors the target by the largest batch so no
-        replication group ever splits across messages.
+        batch of a replication group ever splits across messages.
     failure_policy:
         ``"fail_fast"`` (default): :meth:`run` raises :class:`TaskError`
         naming the exact failing task as soon as its failure is observed.
@@ -711,7 +711,9 @@ class ParallelMap:
         batch_size: Optional[int] = None,
     ) -> List[TaskOutcome]:
         """Like :meth:`run`, but tasks sharing a ``group_key`` are handed
-        to ``batch_fn`` together (in batches of at most ``batch_size``).
+        to ``batch_fn`` together (in batches of at most ``batch_size``;
+        by default :data:`DEFAULT_GROUP_BATCH`, and on a multi-worker
+        executor no more than the balanced per-message task count).
 
         ``batch_fn(batch)`` must return one entry per task: a result, or a
         :class:`TaskFailure` for that task's own error.  Failed tasks fall
@@ -742,6 +744,14 @@ class ParallelMap:
                 on_outcome = self._metered(on_outcome)
 
             size = batch_size or DEFAULT_GROUP_BATCH
+            if batch_size is None and not executor.inline:
+                # Cap batches at the balanced per-message task count, so
+                # a few large replication groups still spread over every
+                # worker instead of each running whole on one.
+                balanced = math.ceil(
+                    len(tasks) / (executor.parallelism() * 4)
+                )
+                size = min(size, balanced)
             groups: dict = {}
             for i, task in enumerate(tasks):
                 groups.setdefault(group_key(task), []).append((i, task))

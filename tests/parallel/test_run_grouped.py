@@ -47,6 +47,10 @@ def wrong_arity_batch(batch):
     return [t * t for t in batch][:-1]
 
 
+def batch_lengths(batch):
+    return [len(batch)] * len(batch)
+
+
 def group_of(task):
     return task % 2
 
@@ -232,6 +236,20 @@ class TestRunGroupedParallel:
         )
         assert [o.result for o in serial] == [o.result for o in parallel]
         assert [o.index for o in parallel] == list(range(len(tasks)))
+
+    def test_single_group_spreads_over_workers(self):
+        # One group of 8 tasks on 2 workers: batches are capped at the
+        # balanced per-message count (8 / (2 * 4) = 1), so the group is
+        # not run whole by one worker.
+        outcomes = ParallelMap(workers=2).run_grouped(
+            square, batch_lengths, list(range(8)), lambda t: 0
+        )
+        assert [o.result for o in outcomes] == [1] * 8
+        # Inline execution has no workers to spread over: one batch.
+        inline = ParallelMap(workers=1).run_grouped(
+            square, batch_lengths, list(range(8)), lambda t: 0
+        )
+        assert [o.result for o in inline] == [8] * 8
 
     def test_parallel_failure_attribution(self):
         tasks = [1, 3, 5, 13, 7, 2, 4]
