@@ -11,8 +11,11 @@ any scale:
    sample source (Section VI-B),
 3. compute each landscape's true optimum by exhaustive scan of its
    table (the denominator of "percentage of optimum"),
-4. fan the experiments out, one replication group per batch, with
-   per-experiment reproducible RNG streams,
+4. run every (algorithm, kernel, arch, S) replication group through
+   one loop — checkpoint replay, result-store lookup, grouped dispatch,
+   persist — with per-experiment reproducible RNG streams: one round to
+   the budget for the fixed design, or adaptive rounds that stop each
+   group at its CI target,
 5. gather everything into a :class:`~repro.experiments.results.StudyResults`.
 
 ``StudyConfig`` defaults to the paper's exact design; tests and benches
@@ -39,6 +42,7 @@ from ..gpu.landscape import (
     load_or_compute_landscape,
 )
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
+from ..gpu.workload import WorkloadProfile
 from ..kernels import PAPER_KERNEL_NAMES, get_kernel
 from ..obs import NULL_TRACER, MetricsRegistry, global_registry, tracer_for_dir
 from ..obs.profile import PhaseProfiler
@@ -72,7 +76,12 @@ from .runner import (
 )
 from .telemetry import StudyTelemetry
 
-__all__ = ["StudyConfig", "run_study", "paper_study_config"]
+__all__ = [
+    "StudyConfig",
+    "run_study",
+    "paper_study_config",
+    "collect_landscape_dataset",
+]
 
 
 @dataclass(frozen=True)
@@ -118,45 +127,15 @@ def paper_study_config(workers: Optional[int] = None) -> StudyConfig:
     return StudyConfig(workers=workers)
 
 
-def _needs_dataset(config: StudyConfig) -> bool:
-    return any(
-        isinstance(make_tuner(a, **dict(config.overrides_for(a))), DatasetTuner)
-        for a in config.algorithms
-    )
-
-
-def _dataset_cells_covered(
-    config: StudyConfig,
-    fingerprints: Optional["_CellFingerprints"],
-    store_hits: Dict[str, object],
-    completed: Dict[str, object],
-) -> bool:
-    """True when no dataset-driven cell still needs its dataset rows.
-
-    A cell is covered when the result store answered it or the
-    checkpoint already completed it; a fully-covered study skips the
-    dataset collection pass entirely.
-    """
-    if not store_hits and not completed:
-        return False
-    for alg in config.algorithms:
-        if fingerprints is not None:
-            needs = fingerprints.needs_data(alg)
-        else:
-            needs = isinstance(
-                make_tuner(alg, **dict(config.overrides_for(alg))),
-                DatasetTuner,
-            )
-        if not needs:
-            continue
-        for kname in config.kernels:
-            for aname in config.archs:
-                for size in config.design.sample_sizes:
-                    for exp in range(config.design.experiments_for(size)):
-                        key = f"{alg}/{kname}/{aname}/{size}/{exp}"
-                        if key not in store_hits and key not in completed:
-                            return False
-    return True
+def _dataset_tuners(config: StudyConfig) -> Dict[str, bool]:
+    """Which of the study's tuners read a pre-collected dataset, by
+    algorithm name — each tuner is constructed once, here."""
+    return {
+        alg: isinstance(
+            make_tuner(alg, **dict(config.overrides_for(alg))), DatasetTuner
+        )
+        for alg in config.algorithms
+    }
 
 
 class _CellFingerprints:
@@ -168,19 +147,12 @@ class _CellFingerprints:
     fingerprinting a whole study is then microseconds per cell.
     """
 
-    def __init__(self, config: StudyConfig) -> None:
+    def __init__(
+        self, config: StudyConfig, needs_data: Dict[str, bool]
+    ) -> None:
         self._config = config
         self._landscape_fps: Dict[Tuple[str, str], str] = {}
-        self._needs_data = {
-            alg: isinstance(
-                make_tuner(alg, **dict(config.overrides_for(alg))),
-                DatasetTuner,
-            )
-            for alg in config.algorithms
-        }
-
-    def needs_data(self, alg: str) -> bool:
-        return self._needs_data[alg]
+        self._needs_data = needs_data
 
     def _landscape_fp(self, kname: str, aname: str) -> str:
         key = (kname, aname)
@@ -241,6 +213,43 @@ def _load_landscapes(
     return out
 
 
+def collect_landscape_dataset(
+    kname: str,
+    aname: str,
+    profile: WorkloadProfile,
+    table: LandscapeTable,
+    noise: NoiseModel,
+    root_seed: int,
+    rows: int,
+    metrics: Optional[MetricsRegistry] = None,
+) -> PrecollectedDataset:
+    """The pre-measured dataset of one (kernel, arch) landscape.
+
+    The one owner of the dataset RNG streams: row sampling draws from
+    ``dataset/{kernel}/{arch}/sample`` and measurement noise from
+    ``dataset/{kernel}/{arch}/device`` under ``root_seed``, so a study
+    and a :func:`~repro.serve.tune` request with the same seed read the
+    same rows.  Table lookups are counted into ``metrics`` when given.
+    """
+    rngs = RngFactory(root_seed)
+    device = SimulatedDevice(
+        get_architecture(aname),
+        profile,
+        noise=noise,
+        rng=rngs.stream_for(f"dataset/{kname}/{aname}/device"),
+        table=table,
+    )
+    dataset = collect_dataset(
+        device,
+        table.space,
+        rows,
+        rngs.stream_for(f"dataset/{kname}/{aname}/sample"),
+    )
+    if metrics is not None:
+        metrics.counter("landscape_lookups_total").inc(float(device.lookups))
+    return dataset
+
+
 def _collect_datasets(
     config: StudyConfig,
     tables: Dict[Tuple[str, str], LandscapeTable],
@@ -249,31 +258,20 @@ def _collect_datasets(
     """One pre-measured dataset per (kernel, arch), reproducibly seeded.
 
     Table lookups are counted into ``metrics`` when given."""
-    rngs = RngFactory(config.root_seed)
     out: Dict[Tuple[str, str], PrecollectedDataset] = {}
-    rows = config.design.dataset_rows_required
     for kname in config.kernels:
-        kernel = get_kernel(kname, config.image_x, config.image_y)
-        profile = kernel.profile()
-        space = kernel.space()
+        profile = get_kernel(kname, config.image_x, config.image_y).profile()
         for aname in config.archs:
-            device = SimulatedDevice(
-                get_architecture(aname),
+            out[(kname, aname)] = collect_landscape_dataset(
+                kname,
+                aname,
                 profile,
-                noise=config.noise,
-                rng=rngs.stream_for(f"dataset/{kname}/{aname}/device"),
-                table=tables[(kname, aname)],
+                tables[(kname, aname)],
+                config.noise,
+                config.root_seed,
+                config.design.dataset_rows_required,
+                metrics,
             )
-            out[(kname, aname)] = collect_dataset(
-                device,
-                space,
-                rows,
-                rngs.stream_for(f"dataset/{kname}/{aname}/sample"),
-            )
-            if metrics is not None:
-                metrics.counter("landscape_lookups_total").inc(
-                    float(device.lookups)
-                )
     return out
 
 
@@ -346,45 +344,28 @@ def build_tasks(
     landscape_cache: Optional[str] = None,
     trace_level: str = "events",
     span_parent: Optional[SpanContext] = None,
-    skip_data: Optional[Dict[str, object]] = None,
 ) -> List[ExperimentTask]:
-    """The full task list for one study, in a deterministic order.
-
-    ``skip_data`` maps cell keys that already have a materialized result
-    (checkpoint or result store) — their tasks are built without a
-    dataset slice, so a fully-warm study never needs the dataset phase
-    at all.  Those tasks are placeholders for result assembly and are
-    never dispatched.
-    """
-    tasks: List[ExperimentTask] = []
-    for alg in config.algorithms:
-        tuner = make_tuner(alg, **dict(config.overrides_for(alg)))
-        needs_data = isinstance(tuner, DatasetTuner)
-        for kname in config.kernels:
-            for aname in config.archs:
-                for size in config.design.sample_sizes:
-                    n_exp = config.design.experiments_for(size)
-                    for exp in range(n_exp):
-                        cell_key = f"{alg}/{kname}/{aname}/{size}/{exp}"
-                        attach_data = needs_data and not (
-                            skip_data is not None and cell_key in skip_data
-                        )
-                        tasks.append(
-                            _task_for(
-                                config, datasets, alg, attach_data,
-                                kname, aname, size, exp,
-                                trace_dir=trace_dir,
-                                landscape_cache=landscape_cache,
-                                trace_level=trace_level,
-                                span_parent=span_parent,
-                            )
-                        )
-    return tasks
+    """The full task list for one study, in a deterministic order."""
+    needs_data = _dataset_tuners(config)
+    return [
+        _task_for(
+            config, datasets, alg, needs_data[alg], kname, aname, size, exp,
+            trace_dir=trace_dir,
+            landscape_cache=landscape_cache,
+            trace_level=trace_level,
+            span_parent=span_parent,
+        )
+        for alg in config.algorithms
+        for kname in config.kernels
+        for aname in config.archs
+        for size in config.design.sample_sizes
+        for exp in range(config.design.experiments_for(size))
+    ]
 
 
 @dataclass
-class _AdaptiveGroup:
-    """Mutable state of one replication group in the adaptive loop.
+class _ReplicationGroup:
+    """Mutable state of one replication group in the study loop.
 
     A group is every replication of one ``(algorithm, kernel, arch,
     sample_size)`` study cell; its key is the cell key without the
@@ -396,7 +377,8 @@ class _AdaptiveGroup:
     arch: str
     sample_size: int
     needs_data: bool
-    #: Cumulative replication counts at each look (ends at the ceiling).
+    #: Cumulative replication counts at each look (ends at the ceiling);
+    #: ``[E(S)]`` for the fixed design.
     schedule: List[int]
     #: The fixed design's replication count (savings baseline).
     budget: int
@@ -441,29 +423,44 @@ class _AdaptiveGroup:
         }
 
 
-def _run_adaptive(
+def _run_groups(
     config: StudyConfig,
-    adaptive: AdaptiveConfig,
+    adaptive: Optional[AdaptiveConfig],
+    needs_data: Dict[str, bool],
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
     optima: Dict[Tuple[str, str], float],
     pool: ParallelMap,
     ckpt: Optional[StudyCheckpoint],
     telemetry: StudyTelemetry,
     registry: MetricsRegistry,
+    fleet: str,
     trace_dir: Optional[str],
     landscape_cache: Optional[str],
-    trace_level: str = "events",
-    span_parent: Optional[SpanContext] = None,
-    store: Optional[ResultStore] = None,
-    fingerprints: Optional[_CellFingerprints] = None,
-) -> Tuple[List[object], List[dict], dict, int, int, int]:
-    """The adaptive sequential-replication loop.
+    trace_level: str,
+    span_parent: Optional[SpanContext],
+    store: Optional[ResultStore],
+) -> Tuple[List[object], List[dict], Optional[dict], int, int, int]:
+    """The replication-group loop every study runs through.
 
-    Grows every replication group in rounds through the same pool
-    machinery as the fixed path; after each round, each still-active
-    group takes a *look*: an anytime-valid bootstrap CI on its median
-    percent-of-optimum at the alpha-spending-corrected per-look
-    confidence.  Groups stop at the CI target or at their ceiling.
+    Each round grows every active group to its next scheduled
+    replication count in four stages:
+
+    1. checkpoint replay — cells the checkpoint already holds;
+    2. store lookup — cells a previous study materialized, streamed into
+       the checkpoint in group order, so a later resume needs neither the
+       store nor a re-run;
+    3. dispatch — every other cell in one grouped pool call;
+    4. persist — failures are recorded, and dispatched cells plus
+       checkpoint-resumed cells the store lacks are written back to it.
+
+    The fixed design (``adaptive=None``) schedules every group at
+    ``[E(S)]``: one round grows each group to its budget, and no group
+    looks or records a stop decision.  Under an
+    :class:`~repro.experiments.design.AdaptiveConfig`, each still-active
+    group takes a *look* after every round: an anytime-valid bootstrap
+    CI on its median percent-of-optimum at the alpha-spending-corrected
+    per-look confidence.  Groups stop at the CI target or at their
+    ceiling.
 
     Determinism: each look's bootstrap RNG is a stream derived from the
     (group key, look index) pair — never from execution order, worker
@@ -471,47 +468,39 @@ def _run_adaptive(
     experiment order.  On resume, checkpointed stop decisions are
     replayed verbatim rather than re-derived.
 
-    When a result store is attached, every cell a group grows into is
-    looked up by its content fingerprint before dispatch: hits land
-    directly in the group's population (and the checkpoint), so whole
-    replication groups short-circuit when a previous study already
-    materialized them — the looks then re-derive the same stopping
-    decisions from the identical numbers.  Completed cells (dispatched
-    or checkpoint-resumed) are written back to the store.
-
     Returns ``(results, failed_cells, adaptive_metadata, total_cells,
-    resumed_cells, store_hits)``.
+    resumed_cells, store_hits)``; ``adaptive_metadata`` is ``None`` for
+    the fixed design.
     """
     rngs = RngFactory(config.root_seed)
     events_on = trace_dir is not None and trace_level in ("events", "full")
     spans_on = trace_dir is not None and trace_level in ("spans", "full")
     tracer = tracer_for_dir(trace_dir) if events_on else NULL_TRACER
-    needs_data = {
-        alg: isinstance(
-            make_tuner(alg, **dict(config.overrides_for(alg))), DatasetTuner
-        )
-        for alg in config.algorithms
-    }
 
-    groups: List[_AdaptiveGroup] = []
+    groups: List[_ReplicationGroup] = []
     for alg in config.algorithms:
         for kname in config.kernels:
             for aname in config.archs:
                 for size in config.design.sample_sizes:
-                    group = _AdaptiveGroup(
+                    budget = config.design.experiments_for(size)
+                    group = _ReplicationGroup(
                         algorithm=alg,
                         kernel=kname,
                         arch=aname,
                         sample_size=size,
                         needs_data=needs_data[alg],
-                        schedule=adaptive.replication_schedule(
-                            config.design, size
+                        schedule=(
+                            [budget]
+                            if adaptive is None
+                            else adaptive.replication_schedule(
+                                config.design, size
+                            )
                         ),
-                        budget=config.design.experiments_for(size),
+                        budget=budget,
                     )
                     rec = (
                         ckpt.stopped.get(group.key)
-                        if ckpt is not None
+                        if ckpt is not None and adaptive is not None
                         else None
                     )
                     if rec is not None:
@@ -524,32 +513,36 @@ def _run_adaptive(
                         ]
                     groups.append(group)
     replayed = sum(1 for g in groups if g.replay_target is not None)
+    budget_total = sum(g.budget for g in groups)
     if ckpt is not None:
-        # Adaptive totals are only known as stopping decisions land, so
-        # the plan records the fixed-design budget instead of an exact
-        # cell count; written once per checkpoint file (no-op on resume).
-        ckpt.record_plan(
-            {"budget_cells": sum(g.budget for g in groups)}
-        )
+        # The planned shape, for read-only watchers; written once per
+        # checkpoint file (no-op on resume).  Adaptive totals are only
+        # known as stopping decisions land, so an adaptive plan records
+        # the fixed-design budget instead of an exact cell count.
+        plan_key = "total_cells" if adaptive is None else "budget_cells"
+        ckpt.record_plan({plan_key: budget_total})
 
     done = dict(ckpt.completed) if ckpt is not None else {}
     results_by_key: Dict[str, object] = {}
     failed_by_key: Dict[str, dict] = {}
+    fingerprints = (
+        _CellFingerprints(config, needs_data) if store is not None else None
+    )
     #: cell_key -> (fingerprint, identity) for store write-back.
     cell_ids: Dict[str, Tuple[str, dict]] = {}
     resumed = 0
     store_hits = 0
 
-    telemetry.start_tasks(0, skipped=0)
-    telemetry.line(
-        f"adaptive replication: {len(groups)} groups, "
-        + adaptive.describe()
-        + (
-            f", {replayed} stop decisions replayed from checkpoint"
-            if replayed
-            else ""
+    if adaptive is not None:
+        telemetry.line(
+            f"adaptive replication: {len(groups)} groups, "
+            + adaptive.describe()
+            + (
+                f", {replayed} stop decisions replayed from checkpoint"
+                if replayed
+                else ""
+            )
         )
-    )
 
     def on_outcome(outcome: TaskOutcome) -> None:
         telemetry.task_finished(outcome.ok)
@@ -564,7 +557,7 @@ def _run_adaptive(
                     traceback=outcome.traceback,
                 )
 
-    def count_stop(group: _AdaptiveGroup) -> None:
+    def count_stop(group: _ReplicationGroup) -> None:
         telemetry.group_stopped(group.budget - group.dispatched)
         registry.counter(
             "adaptive_groups_stopped_total",
@@ -572,7 +565,7 @@ def _run_adaptive(
             reason=str(group.reason),
         ).inc()
 
-    def stop(group: _AdaptiveGroup, reason: str, halfwidth: float) -> None:
+    def stop(group: _ReplicationGroup, reason: str, halfwidth: float) -> None:
         group.stopped = True
         group.reason = reason
         group.halfwidth = (
@@ -593,77 +586,116 @@ def _run_adaptive(
                 fields["halfwidth"] = group.halfwidth
             tracer.event("adaptive_stop", **fields)
 
+    first_round = True
     while True:
         active = [g for g in groups if not g.stopped]
         if not active:
             break
-        pending: List[ExperimentTask] = []
+        cells: List[Tuple[_ReplicationGroup, int, str]] = []
         for group in active:
             target = group.next_target()
-            for exp in range(group.dispatched, target):
-                task = _task_for(
-                    config, datasets, group.algorithm, group.needs_data,
-                    group.kernel, group.arch, group.sample_size, exp,
-                    trace_dir=trace_dir, landscape_cache=landscape_cache,
-                    trace_level=trace_level, span_parent=span_parent,
-                )
-                fp_id: Optional[Tuple[str, dict]] = None
-                if store is not None and fingerprints is not None:
-                    fp_id = fingerprints.fingerprint_for(
-                        group.algorithm, group.kernel, group.arch,
-                        group.sample_size, exp,
-                    )
-                    cell_ids[task.cell_key] = fp_id
-                if task.cell_key in done:
-                    result = done[task.cell_key]
-                    results_by_key[task.cell_key] = result
-                    resumed += 1
-                    telemetry.add_skipped(1)
-                    if fp_id is not None and store.get_result(
-                        fp_id[0]
-                    ) is None:
-                        # Migrate checkpoint-resumed cells into the store
-                        # so the next study hits cache without the file.
-                        store.put_result(fp_id[0], result, fp_id[1])
-                elif fp_id is not None and (
-                    hit := store.get_result(fp_id[0])
-                ) is not None:
-                    results_by_key[task.cell_key] = hit
-                    store_hits += 1
-                    telemetry.add_skipped(1)
-                    if ckpt is not None:
-                        ckpt.record_result(task.cell_key, hit)
-                else:
-                    pending.append(task)
-            group.dispatched = target
-        if pending:
-            telemetry.add_tasks(len(pending))
-            outcomes = pool.run_grouped(
-                run_experiment,
-                run_experiment_batch,
-                pending,
-                group_key=batch_group_key,
-                on_outcome=on_outcome,
+            cells.extend(
+                (group, exp, f"{group.key}/{exp}")
+                for exp in range(group.dispatched, target)
             )
-            for outcome in outcomes:
-                if outcome.ok:
-                    results_by_key[outcome.task.cell_key] = outcome.result
-                    if store is not None:
-                        fp_id = cell_ids.get(outcome.task.cell_key)
-                        if fp_id is not None:
-                            store.put_result(
-                                fp_id[0], outcome.result, fp_id[1]
-                            )
-                else:
-                    failed_by_key[outcome.task.cell_key] = {
-                        "cell_key": outcome.task.cell_key,
-                        "error": repr(outcome.error),
-                        "error_type": outcome.error_type,
-                        "traceback": outcome.traceback,
-                        "attempts": outcome.attempts,
-                        "node": outcome.node,
-                    }
+            group.dispatched = target
+
+        # 1. Checkpoint replay.
+        for _group, _exp, key in cells:
+            if key in done:
+                results_by_key[key] = done[key]
+                resumed += 1
+
+        # 2. Store lookup.  Resumed cells are looked up too, so the ones
+        # the store lacks can migrate into it in stage 4.
+        hits: Dict[str, object] = {}
+        to_store: List[str] = []
+        warm = 0
+        if store is not None:
+            for group, exp, key in cells:
+                fp, identity = cell_ids[key] = fingerprints.fingerprint_for(
+                    group.algorithm, group.kernel, group.arch,
+                    group.sample_size, exp,
+                )
+                cached = store.get_result(fp)
+                if cached is None:
+                    if key in done:
+                        to_store.append(key)
+                    continue
+                warm += 1
+                if key not in done:
+                    hits[key] = results_by_key[key] = cached
+                    if ckpt is not None:
+                        ckpt.record_result(key, cached)
+        store_hits += len(hits)
+
+        # 3. Dispatch.
+        pending = [
+            _task_for(
+                config, datasets, group.algorithm, group.needs_data,
+                group.kernel, group.arch, group.sample_size, exp,
+                trace_dir=trace_dir, landscape_cache=landscape_cache,
+                trace_level=trace_level, span_parent=span_parent,
+            )
+            for group, exp, key in cells
+            if key not in done and key not in hits
+        ]
+        skipped = len(cells) - len(pending)
+        if first_round:
+            first_round = False
+            if store is not None:
+                telemetry.line(
+                    f"result store {store.root}: "
+                    f"{warm}/{len(cells)} cells warm"
+                )
+            telemetry.start_tasks(len(pending), skipped=skipped)
+            telemetry.line(
+                f"running {len(pending)} experiments on {fleet}"
+                + (
+                    f" ({len(hits)} answered by the result store)"
+                    if hits
+                    else ""
+                )
+            )
+        else:
+            telemetry.add_tasks(len(pending))
+            telemetry.add_skipped(skipped)
+        outcomes = pool.run_grouped(
+            run_experiment,
+            run_experiment_batch,
+            pending,
+            group_key=batch_group_key,
+            on_outcome=on_outcome,
+        )
+
+        # 4. Persist.
+        for outcome in outcomes:
+            key = outcome.task.cell_key
+            if outcome.ok:
+                results_by_key[key] = outcome.result
+                to_store.append(key)
+            else:
+                failed_by_key[key] = {
+                    "cell_key": key,
+                    "error": repr(outcome.error),
+                    "error_type": outcome.error_type,
+                    "traceback": outcome.traceback,
+                    "attempts": outcome.attempts,
+                    # Which machine produced the final failed attempt
+                    # (socket executor only) — metadata, never
+                    # checkpoint bytes.
+                    "node": outcome.node,
+                }
+        if store is not None:
+            for key in to_store:
+                fp, identity = cell_ids[key]
+                store.put_result(fp, results_by_key[key], identity)
+
         for group in active:
+            if adaptive is None:
+                # The fixed design: one round, no look.
+                group.stopped = True
+                continue
             if group.replay_target is not None:
                 # Stop decision made (and checkpointed) by the interrupted
                 # run; replay it rather than re-deriving.
@@ -722,8 +754,20 @@ def _run_adaptive(
                 elif group.dispatched >= group.ceiling:
                     stop(group, "ceiling", halfwidth)
 
+    results: List[object] = []
+    failed_cells: List[dict] = []
+    for group in groups:
+        for exp in range(group.dispatched):
+            cell_key = f"{group.key}/{exp}"
+            if cell_key in results_by_key:
+                results.append(results_by_key[cell_key])
+            elif cell_key in failed_by_key:
+                failed_cells.append(failed_by_key[cell_key])
+
     executed = sum(g.dispatched for g in groups)
-    budget_total = sum(g.budget for g in groups)
+    if adaptive is None:
+        return results, failed_cells, None, executed, resumed, store_hits
+
     saved = budget_total - executed
     registry.counter(
         "adaptive_replications_executed_total",
@@ -738,17 +782,6 @@ def _run_adaptive(
         f"adaptive replication: {executed}/{budget_total} replications "
         f"({saved} saved)"
     )
-
-    results: List[object] = []
-    failed_cells: List[dict] = []
-    for group in groups:
-        for exp in range(group.dispatched):
-            cell_key = f"{group.key}/{exp}"
-            if cell_key in results_by_key:
-                results.append(results_by_key[cell_key])
-            elif cell_key in failed_by_key:
-                failed_cells.append(failed_by_key[cell_key])
-
     meta = {
         "config": {
             "ci_target": adaptive.ci_target,
@@ -849,7 +882,9 @@ def run_study(
         Stop decisions are written to the checkpoint (``"stopped"``
         lines) and replayed verbatim on resume, so a resumed adaptive
         study is bit-identical to an uninterrupted one.  ``None``
-        (default) runs the fixed design unchanged.
+        (default) runs the fixed design: the same replication-group loop
+        with a single round that grows every group to its budget, no
+        looks and no stop decisions.
     trace_level:
         What lands in ``trace_dir``: ``"events"`` (default) — trajectory
         events, exactly the v1 behavior; ``"spans"`` — hierarchical
@@ -903,12 +938,13 @@ def run_study(
         a store).  When attached, every cell is looked up by its content
         fingerprint before dispatch — warm cells short-circuit the
         pool entirely (and stream into the checkpoint, so later resumes
-        need neither store nor re-run), completed cells are written
-        back, and a fully-warm study also skips dataset collection.  A
-        cold (or absent) store changes nothing: results and checkpoint
-        bytes are identical with the store on or off.  Hits/misses/
-        writes are counted in the study metrics registry, and the hit
-        count lands in ``StudyResults.metadata["store_hits"]``.
+        need neither store nor re-run), and completed cells are written
+        back.  Datasets are still collected for every landscape a
+        dataset tuner uses (table lookups only, ~15 ms per landscape at
+        20,000 rows).  A cold (or absent) store changes nothing: results
+        and checkpoint bytes are identical with the store on or off.
+        Hits/misses/writes are counted in the study metrics registry,
+        and the hit count lands in ``StudyResults.metadata["store_hits"]``.
     """
     config.validate()
     if trace_level not in ("events", "spans", "full"):
@@ -992,10 +1028,6 @@ def run_study(
             )
         store_dir = str(store.root) if store is not None else None
 
-        # The checkpoint loads before the dataset phase so its completed
-        # cells can join store hits in deciding whether dataset
-        # collection is needed at all.  Nothing is written until the
-        # first record_* call, so checkpoint bytes are unaffected.
         ckpt: Optional[StudyCheckpoint] = None
         if checkpoint is not None:
             ckpt = (
@@ -1004,65 +1036,16 @@ def run_study(
                 else StudyCheckpoint(checkpoint, root_seed=config.root_seed)
             )
 
-        fingerprints = (
-            _CellFingerprints(config) if store is not None else None
-        )
-        #: cell_key -> cached ExperimentResult answered by the store.
-        store_hit_results: Dict[str, object] = {}
-        #: cell_key -> (fingerprint, identity) for write-back.
-        cell_ids: Dict[str, Tuple[str, dict]] = {}
-        if store is not None and adaptive is None:
-            with study_phase("store"):
-                for alg in config.algorithms:
-                    for kname in config.kernels:
-                        for aname in config.archs:
-                            for size in config.design.sample_sizes:
-                                n_exp = config.design.experiments_for(size)
-                                for exp in range(n_exp):
-                                    key = (
-                                        f"{alg}/{kname}/{aname}/"
-                                        f"{size}/{exp}"
-                                    )
-                                    fp, ident = (
-                                        fingerprints.fingerprint_for(
-                                            alg, kname, aname, size, exp
-                                        )
-                                    )
-                                    cell_ids[key] = (fp, ident)
-                                    cached = store.get_result(fp)
-                                    if cached is not None:
-                                        store_hit_results[key] = cached
-            telemetry.line(
-                f"result store {store.root}: "
-                f"{len(store_hit_results)}/{len(cell_ids)} cells warm "
-                f"in {telemetry.phase_seconds['store']:.1f}s"
-            )
-
+        needs_data = _dataset_tuners(config)
         datasets: Dict[Tuple[str, str], PrecollectedDataset] = {}
-        dataset_skipped = False
-        if _needs_dataset(config):
-            if adaptive is None and _dataset_cells_covered(
-                config,
-                fingerprints,
-                store_hit_results,
-                ckpt.completed if ckpt is not None else {},
-            ):
-                # Every dataset-driven cell is already materialized
-                # (store and/or checkpoint) — the rows would never be
-                # read, so the whole collection pass is skipped.
-                dataset_skipped = True
-                telemetry.line(
-                    "dataset collection skipped: every dataset-driven "
-                    "cell is already materialized"
-                )
-            else:
-                with study_phase("dataset"):
-                    datasets = _collect_datasets(config, tables, registry)
-                telemetry.line(
-                    f"collected {len(datasets)} datasets "
-                    f"({config.design.dataset_rows_required} rows each) "
-                    f"in {telemetry.phase_seconds['dataset']:.1f}s"
-                )
+        if any(needs_data.values()):
+            with study_phase("dataset"):
+                datasets = _collect_datasets(config, tables, registry)
+            telemetry.line(
+                f"collected {len(datasets)} datasets "
+                f"({config.design.dataset_rows_required} rows each) "
+                f"in {telemetry.phase_seconds['dataset']:.1f}s"
+            )
 
         optima: Dict[Tuple[str, str], float] = {}
         if compute_optima:
@@ -1117,162 +1100,34 @@ def run_study(
             span_context=exp_ctx,
             executor=executor_obj,
         )
-
-        adaptive_meta: Optional[dict] = None
-        if adaptive is not None:
-            try:
-                with study_phase("experiments", span=exp_span):
-                    (
-                        results,
-                        failed_cells,
-                        adaptive_meta,
-                        total_cells,
-                        resumed,
-                        store_hit_count,
-                    ) = _run_adaptive(
-                        config, adaptive, datasets, optima, pool, ckpt,
-                        telemetry, registry, trace_dir_str, cache_dir,
-                        trace_level=trace_level, span_parent=exp_ctx,
-                        store=store, fingerprints=fingerprints,
-                    )
-            finally:
-                if ckpt is not None:
-                    ckpt.close()
+        if executor == "socket":
+            fleet = f"{executor_obj.worker_count()} socket worker(s)"
+        elif executor is not None:
+            fleet = f"the {executor} executor"
         else:
-            covered: Dict[str, object] = dict(store_hit_results)
-            if ckpt is not None:
-                covered.update(ckpt.completed)
-            tasks = build_tasks(
-                config,
-                datasets,
-                trace_dir=trace_dir_str,
-                landscape_cache=cache_dir,
-                trace_level=trace_level,
-                span_parent=exp_ctx,
-                # Only strip dataset payloads when the collection pass
-                # was skipped — covered cells are never dispatched, so
-                # their tasks are assembly placeholders either way.
-                skip_data=covered if dataset_skipped else None,
-            )
-            if ckpt is not None:
-                # The planned shape, for read-only watchers; written once
-                # per checkpoint file (no-op on resume).
-                ckpt.record_plan({"total_cells": len(tasks)})
-            done: Dict[str, object] = dict(ckpt.completed) if ckpt else {}
-            hits = {
-                k: v
-                for k, v in store_hit_results.items()
-                if k not in done
-            }
-            if ckpt is not None and hits:
-                # Store hits stream into the checkpoint in task order, so
-                # a later resume replays them without needing the store.
-                for task in tasks:
-                    if task.cell_key in hits:
-                        ckpt.record_result(
-                            task.cell_key, hits[task.cell_key]
-                        )
-            pending = [
-                t
-                for t in tasks
-                if t.cell_key not in done and t.cell_key not in hits
-            ]
-            telemetry.start_tasks(
-                len(pending), skipped=len(tasks) - len(pending)
-            )
-            if executor == "socket":
-                fleet = f"{executor_obj.worker_count()} socket worker(s)"
-            elif executor is not None:
-                fleet = f"the {executor} executor"
-            else:
-                fleet = f"{config.workers or 'all'} workers"
-            telemetry.line(
-                f"running {len(pending)} experiments on {fleet}"
-                + (
-                    f" ({len(hits)} answered by the result store)"
-                    if hits
-                    else ""
+            fleet = f"{config.workers or 'all'} workers"
+
+        try:
+            with study_phase("experiments", span=exp_span):
+                (
+                    results,
+                    failed_cells,
+                    adaptive_meta,
+                    total_cells,
+                    resumed,
+                    store_hit_count,
+                ) = _run_groups(
+                    config, adaptive, needs_data, datasets, optima, pool,
+                    ckpt, telemetry, registry, fleet,
+                    trace_dir=trace_dir_str,
+                    landscape_cache=cache_dir,
+                    trace_level=trace_level,
+                    span_parent=exp_ctx,
+                    store=store,
                 )
-            )
-
-            def on_outcome(outcome: TaskOutcome) -> None:
-                telemetry.task_finished(outcome.ok)
-                if ckpt is not None:
-                    if outcome.ok:
-                        ckpt.record_result(
-                            outcome.task.cell_key, outcome.result
-                        )
-                    else:
-                        ckpt.record_failure(
-                            outcome.task.cell_key,
-                            error=repr(outcome.error),
-                            error_type=outcome.error_type,
-                            traceback=outcome.traceback,
-                        )
-
-            try:
-                with study_phase("experiments", span=exp_span):
-                    outcomes = pool.run_grouped(
-                        run_experiment,
-                        run_experiment_batch,
-                        pending,
-                        group_key=batch_group_key,
-                        on_outcome=on_outcome,
-                    )
-            finally:
-                if ckpt is not None:
-                    ckpt.close()
-
-            by_key = {o.task.cell_key: o for o in outcomes}
-            results = []
-            failed_cells = []
-            for task in tasks:
-                if task.cell_key in done:
-                    results.append(done[task.cell_key])
-                    continue
-                if task.cell_key in hits:
-                    results.append(hits[task.cell_key])
-                    continue
-                outcome = by_key[task.cell_key]
-                if outcome.ok:
-                    results.append(outcome.result)
-                else:
-                    failed_cells.append(
-                        {
-                            "cell_key": task.cell_key,
-                            "error": repr(outcome.error),
-                            "error_type": outcome.error_type,
-                            "traceback": outcome.traceback,
-                            "attempts": outcome.attempts,
-                            # Which machine produced the final failed
-                            # attempt (socket executor only) — metadata,
-                            # never checkpoint bytes.
-                            "node": outcome.node,
-                        }
-                    )
-            if store is not None:
-                # Write back every completed cell the store has not yet
-                # materialized — including checkpoint-resumed cells, so
-                # resuming an old study migrates its results into the
-                # store for every later study and tune() request.
-                stored = set(store_hit_results)
-                for task in tasks:
-                    key = task.cell_key
-                    if key in stored:
-                        continue
-                    fp_id = cell_ids.get(key)
-                    if fp_id is None:
-                        continue
-                    cell_result = done.get(key)
-                    if cell_result is None:
-                        outcome = by_key.get(key)
-                        if outcome is None or not outcome.ok:
-                            continue
-                        cell_result = outcome.result
-                    store.put_result(fp_id[0], cell_result, fp_id[1])
-            total_cells = len(tasks)
-            resumed = sum(1 for t in tasks if t.cell_key in done)
-            store_hit_count = len(hits)
+        finally:
+            if ckpt is not None:
+                ckpt.close()
     if failed_cells:
         telemetry.line(
             f"{len(failed_cells)} cells failed: "

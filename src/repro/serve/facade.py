@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..gpu.arch import get_architecture
-from ..gpu.device import SimulatedDevice
 from ..gpu.landscape import (
     default_cache_dir,
     landscape_fingerprint,
@@ -33,7 +32,6 @@ from ..gpu.landscape import (
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import get_kernel
 from ..obs.metrics import MetricsRegistry, global_registry
-from ..parallel.rng import RngFactory
 from ..search import DatasetTuner, make_tuner
 from ..store import ResultStore, cell_identity, default_store_dir, fingerprint_of
 
@@ -164,8 +162,8 @@ def tune(
     # Deferred import: repro.experiments.__init__ imports study, which
     # imports repro.store — importing it at module scope would make the
     # package import order matter.
-    from ..experiments.dataset import collect_dataset
     from ..experiments.runner import ExperimentTask, run_experiment
+    from ..experiments.study import collect_landscape_dataset
 
     if landscape_cache is None:
         landscape_cache = default_cache_dir()
@@ -176,19 +174,8 @@ def tune(
         table = load_or_compute_landscape(
             profile, arch_obj, space, cache_dir=cache_dir
         )
-        rngs = RngFactory(root_seed)
-        device = SimulatedDevice(
-            arch_obj,
-            profile,
-            noise=noise,
-            rng=rngs.stream_for(f"dataset/{kernel}/{arch}/device"),
-            table=table,
-        )
-        dataset = collect_dataset(
-            device,
-            space,
-            dataset_rows,
-            rngs.stream_for(f"dataset/{kernel}/{arch}/sample"),
+        dataset = collect_landscape_dataset(
+            kernel, arch, profile, table, noise, root_seed, dataset_rows
         )
         sl = dataset.slice_for(budget, experiment)
         flats = tuple(int(f) for f in sl.flats)

@@ -4,11 +4,12 @@ The acceptance invariants:
 
 * store **off** vs store **on-but-cold**: byte-identical checkpoints,
   identical results — a cold store changes nothing;
-* store **warm**: every cell answered by lookup, dataset collection
-  skipped, and the simulator never runs during the experiments phase;
+* store **warm**: every cell answered by lookup, and the simulator
+  never runs (datasets and optima are table lookups);
 * store hits stream into the checkpoint, so a later resume needs
   neither the store nor a re-run;
-* adaptive replication groups short-circuit through the same entries.
+* fixed and adaptive studies share one cell pipeline, so the warm,
+  migration and partial-store invariants hold for both.
 """
 
 import pytest
@@ -33,6 +34,14 @@ def isolated(monkeypatch):
     yield
     clear_landscape_memo()
     clear_optimum_cache()
+
+
+ADAPTIVE = AdaptiveConfig(
+    ci_target=50.0, batch_size=2, min_replications=2, n_resamples=100
+)
+both_designs = pytest.mark.parametrize(
+    "adaptive", [None, ADAPTIVE], ids=["fixed", "adaptive"]
+)
 
 
 def tiny_config(**kwargs):
@@ -85,27 +94,25 @@ class TestColdStoreIsInvisible:
 
 
 class TestWarmStore:
-    def test_warm_study_answers_every_cell(self, tmp_path):
+    @both_designs
+    def test_warm_study_answers_every_cell(self, tmp_path, adaptive):
         store = tmp_path / "store"
-        cold, _ = run(tmp_path, "cold", result_store=store)
+        cold, _ = run(tmp_path, "cold", result_store=store, adaptive=adaptive)
         lines = []
         registry = MetricsRegistry()
         warm, _ = run(
             tmp_path, "warm", lines=lines,
-            result_store=store, metrics=registry,
+            result_store=store, metrics=registry, adaptive=adaptive,
         )
         assert result_key(warm) == result_key(cold)
         total = warm.metadata["total_experiments"]
         assert warm.metadata["store_hits"] == total
         flat = registry.flat_counters()
         assert flat.get("result_store_hits_total", 0) >= total
-        # The simulator never ran: landscapes came from cache, dataset
-        # collection was skipped, every cell was a lookup.
+        # The simulator never ran: landscapes came from cache, datasets
+        # and optima are table lookups, every cell was a store lookup.
         assert flat.get("simulator_evals_total", 0) == 0
         assert any("cells warm" in line for line in lines)
-        assert any(
-            "dataset collection skipped" in line for line in lines
-        )
 
     def test_store_hits_stream_into_checkpoint(self, tmp_path):
         """A checkpoint fed purely by store hits resumes without either."""
@@ -126,9 +133,10 @@ class TestWarmStore:
             cold.metadata["total_experiments"]
         )
 
-    def test_checkpointed_cells_migrate_into_store(self, tmp_path):
+    @both_designs
+    def test_checkpointed_cells_migrate_into_store(self, tmp_path, adaptive):
         """A finished checkpoint warms the store for everyone else."""
-        cold, _ = run(tmp_path, "first", result_store=False)
+        cold, _ = run(tmp_path, "first", result_store=False, adaptive=adaptive)
         store = tmp_path / "store"
         # Same checkpoint, store now attached: cells replay from the
         # checkpoint and are written back to the store.
@@ -137,44 +145,38 @@ class TestWarmStore:
             checkpoint=str(tmp_path / "first.jsonl"),
             landscape_cache=str(tmp_path / "cache"),
             result_store=store,
+            adaptive=adaptive,
         )
         assert result_key(second) == result_key(cold)
         # A third run with a fresh checkpoint is warm purely via store.
-        third, _ = run(tmp_path, "third", result_store=store)
+        third, _ = run(tmp_path, "third", result_store=store, adaptive=adaptive)
         assert result_key(third) == result_key(cold)
         assert third.metadata["store_hits"] == (
             cold.metadata["total_experiments"]
         )
 
-    def test_partial_store_runs_only_missing_cells(self, tmp_path):
+    @both_designs
+    def test_partial_store_runs_only_missing_cells(self, tmp_path, adaptive):
         store = ResultStore(tmp_path / "store")
-        cold, _ = run(tmp_path, "cold", result_store=store)
+        cold, _ = run(tmp_path, "cold", result_store=store, adaptive=adaptive)
         # Evict roughly half the entries.
         paths = [p for p, _d, r in store.entries() if r == "ok"]
         for path in paths[: len(paths) // 2]:
             path.unlink()
-        partial, _ = run(tmp_path, "partial", result_store=store)
+        partial, _ = run(
+            tmp_path, "partial", result_store=store, adaptive=adaptive
+        )
         assert result_key(partial) == result_key(cold)
         kept = len(paths) - len(paths) // 2
         assert partial.metadata["store_hits"] == kept
 
 
 class TestAdaptiveShortCircuit:
-    def _adaptive(self):
-        return AdaptiveConfig(
-            ci_target=50.0, batch_size=2, min_replications=2,
-            n_resamples=100,
-        )
-
     def test_adaptive_groups_short_circuit(self, tmp_path):
         store = tmp_path / "store"
-        first, _ = run(
-            tmp_path, "a1", result_store=store, adaptive=self._adaptive()
-        )
+        first, _ = run(tmp_path, "a1", result_store=store, adaptive=ADAPTIVE)
         assert first.metadata["store_hits"] == 0
-        second, _ = run(
-            tmp_path, "a2", result_store=store, adaptive=self._adaptive()
-        )
+        second, _ = run(tmp_path, "a2", result_store=store, adaptive=ADAPTIVE)
         assert result_key(second) == result_key(first)
         assert second.metadata["store_hits"] > 0
         assert second.metadata["store_hits"] == (

@@ -11,8 +11,8 @@ from repro.experiments import (
 )
 from repro.experiments.study import (
     _collect_datasets,
+    _dataset_tuners,
     _load_landscapes,
-    _needs_dataset,
 )
 
 
@@ -58,9 +58,14 @@ class TestConfig:
         assert cfg.overrides_for("random_search") == ()
 
     def test_needs_dataset_detection(self):
-        assert _needs_dataset(tiny_config())
-        assert not _needs_dataset(
-            tiny_config(algorithms=("genetic_algorithm",))
+        assert _dataset_tuners(tiny_config()) == {
+            "random_search": True,
+            "genetic_algorithm": False,
+        }
+        assert not any(
+            _dataset_tuners(
+                tiny_config(algorithms=("genetic_algorithm",))
+            ).values()
         )
 
 
