@@ -62,11 +62,9 @@ class TestConfig:
             "random_search": True,
             "genetic_algorithm": False,
         }
-        assert not any(
-            _dataset_tuners(
-                tiny_config(algorithms=("genetic_algorithm",))
-            ).values()
-        )
+        assert _dataset_tuners(
+            tiny_config(algorithms=("genetic_algorithm",))
+        ) == {"genetic_algorithm": False}
 
 
 class TestTaskConstruction:
